@@ -160,17 +160,16 @@ def run_load(
     }
 
 
-def _start_daemon(pool_size: int, threads: int, inflight: int,
-                  workers: int = 1):
+def _start_daemon(pool_size: int, inflight: int, workers: int = 1):
     """An in-process daemon on an ephemeral port; returns (harness, url).
 
-    ``workers=1`` is the threaded backend; ``workers=N`` starts N solver
-    worker processes (the shape-affinity pool).
+    ``workers=1`` is the threaded backend (``inflight`` solver threads);
+    ``workers=N`` starts N solver worker processes (the shape-affinity
+    pool).
     """
     config = DaemonConfig(
         port=0,
         pool_size=pool_size,
-        threads=threads,
         workers=workers,
         max_inflight=inflight,
         queue_limit=1024,
@@ -200,8 +199,7 @@ def run_benchmark(
         report["pool"] = None
     else:
         harness, local_url = _start_daemon(
-            pool_size=max(clients, 8), threads=clients, inflight=clients,
-            workers=workers,
+            pool_size=max(clients, 8), inflight=clients, workers=workers,
         )
         try:
             report["warm"] = run_load(local_url, clients, quick)
@@ -212,9 +210,7 @@ def run_benchmark(
         finally:
             harness.stop()
     if baseline and url is None:
-        harness, local_url = _start_daemon(
-            pool_size=0, threads=clients, inflight=clients
-        )
+        harness, local_url = _start_daemon(pool_size=0, inflight=clients)
         try:
             report["fresh"] = run_load(local_url, clients, quick)
         finally:

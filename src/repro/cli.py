@@ -449,7 +449,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         unix_path=args.unix,
         pool_size=args.pool,
         workers=args.workers,
-        threads=args.threads,
         max_inflight=args.max_inflight,
         queue_limit=args.queue,
         rate=args.rate,
@@ -475,7 +474,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             endpoints.append(f"unix:{config.unix_path}")
         backend = (
             f"{config.workers} worker processes" if config.workers > 1
-            else f"{config.threads} threads"
+            else f"{config.max_inflight} threads"
         )
         print(f"serving on {' and '.join(endpoints)} "
               f"(pool={config.pool_size}, {backend})",
@@ -606,11 +605,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="solver worker processes (default 1 = "
                             "threaded backend; N > 1 runs the "
                             "shape-affinity process pool)")
-    serve.add_argument("--threads", type=int, default=4, metavar="N",
-                       help="solver worker threads in threaded mode "
-                            "(default 4)")
     serve.add_argument("--max-inflight", type=int, default=8, metavar="N",
-                       help="concurrent solves admitted (default 8)")
+                       help="concurrent solves admitted, and solver "
+                            "threads when --workers is 1 (default 8)")
     serve.add_argument("--queue", type=int, default=32, metavar="N",
                        help="requests allowed to queue for a solve slot "
                             "before shedding (default 32)")

@@ -4,11 +4,9 @@ See :mod:`repro.kb.store.base` for the log model; backends:
 
 - :class:`MemoryFactStore` — in-process list (default, reference).
 - :class:`SqliteFactStore` — durable single file, WAL, multi-reader.
-- :class:`KVFactStore` — distributed-KV stub (FoundationDB key layout).
 """
 
 from repro.kb.store.base import FACT_KINDS, FACT_OPS, Fact, FactStore
-from repro.kb.store.kv import KVFactStore
 from repro.kb.store.memory import MemoryFactStore
 from repro.kb.store.sqlite import SqliteFactStore
 
@@ -17,7 +15,6 @@ __all__ = [
     "FACT_OPS",
     "Fact",
     "FactStore",
-    "KVFactStore",
     "MemoryFactStore",
     "SqliteFactStore",
 ]

@@ -1,7 +1,7 @@
 """In-memory fact store: a list behind a lock.
 
 The default backend — zero I/O, used whenever persistence is not
-requested. Also the reference implementation the sqlite/KV backends are
+requested. Also the reference implementation the sqlite backend is
 tested against.
 """
 

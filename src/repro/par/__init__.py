@@ -8,7 +8,7 @@ aims at. Three pieces:
   (``repro.par.cubes``);
 - :func:`solve_portfolio` / :func:`default_portfolio` — race diversified
   CDCL configurations on one CNF (``repro.par.portfolio``);
-- :func:`run_query_batch` / :func:`run_queries` — fan independent
+- :func:`run_query_batch` — fan independent
   :class:`~repro.core.query.Query` values over a process pool
   (``repro.par.batch``), surfaced as ``ReasoningEngine.check_many``
   and ``synthesize_many``;
@@ -17,7 +17,7 @@ aims at. Three pieces:
   (``repro.par.cache``).
 """
 
-from repro.par.batch import run_queries, run_query_batch
+from repro.par.batch import run_query_batch
 from repro.par.cache import QueryCache, cnf_cache_key, request_cache_key
 from repro.par.cubes import CubeResult, make_cubes, solve_cubes
 from repro.par.portfolio import (
@@ -36,7 +36,6 @@ __all__ = [
     "default_portfolio",
     "make_cubes",
     "request_cache_key",
-    "run_queries",
     "run_query_batch",
     "solve_cubes",
     "solve_portfolio",

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import multiprocessing
 
-__all__ = ["run_queries", "run_query_batch"]
+__all__ = ["run_query_batch"]
 
 
 def _query_worker(payload):
@@ -55,10 +55,3 @@ def run_query_batch(kb, queries: list, jobs: int = 1) -> list:
             return pool.map(_query_worker, [(kb, q) for q in queries])
     except (OSError, ImportError, PermissionError):
         return [_query_worker((kb, q)) for q in queries]
-
-
-def run_queries(kb, verb: str, requests: list, jobs: int = 1) -> list:
-    """Compatibility wrapper: lower ``(verb, request)`` pairs to Queries."""
-    from repro.core.query import Query
-
-    return run_query_batch(kb, [Query(verb, r) for r in requests], jobs)

@@ -28,7 +28,6 @@ True
 from repro.sat.clause import Clause
 from repro.sat.dimacs import parse_dimacs, write_dimacs
 from repro.sat.drat import Proof, check_rup_proof
-from repro.sat.simplify import simplify_clauses
 from repro.sat.solver import SolveResult, Solver, SolverProgress, SolverStats
 
 __all__ = [
@@ -40,6 +39,5 @@ __all__ = [
     "SolverStats",
     "check_rup_proof",
     "parse_dimacs",
-    "simplify_clauses",
     "write_dimacs",
 ]

@@ -16,8 +16,11 @@ without giving up the warm-session economics of
 - :mod:`repro.serve.admission` — bounded-queue admission control and
   per-client token-bucket rate limiting;
 - :mod:`repro.serve.daemon` — the asyncio server (HTTP and unix-socket
-  NDJSON transports, worker-thread solving, streaming delivery,
-  graceful drain, ``/stats``);
+  NDJSON transports, the one reply function both backends answer
+  through, threaded solving, streaming delivery, graceful drain,
+  ``/stats``);
+- :mod:`repro.serve.workers` — the process backend: solver worker
+  processes behind a shape-affinity router;
 - :mod:`repro.serve.client` — stdlib clients (HTTP, unix, in-process)
   for tests and the load generator.
 

@@ -23,7 +23,7 @@ import json
 import socket
 import threading
 
-from repro.serve.daemon import ReasoningDaemon, UnaryReply
+from repro.serve.daemon import ReasoningDaemon, StreamReply, UnaryReply
 from repro.serve.protocol import canonical_json
 
 __all__ = ["DaemonClient", "InprocDaemon", "make_envelope"]
@@ -113,39 +113,25 @@ class InprocDaemon:
         """Schedule *coro* on the daemon loop; returns a concurrent Future."""
         return asyncio.run_coroutine_threadsafe(coro, self._loop)
 
-    async def _reply(self, envelope, client: str):
-        """handle() + frame collection, all on the daemon loop.
-
-        Streams must be drained where they were created: a process-mode
-        :class:`~repro.serve.workers.StreamRelay` is fed through the
-        loop, so its frames are collected here rather than handed across
-        threads. Returns either a :class:`UnaryReply` or the list of
-        serialized frames.
-        """
-        reply = await self.daemon.handle(envelope, client_hint=client)
-        if isinstance(reply, UnaryReply):
-            return reply
-        return [frame async for frame in reply.aiter_frames()]
-
     def query_reply(
         self, envelope: dict | bytes, client: str = "inproc",
         timeout: float | None = 60.0,
-    ) -> UnaryReply | list[bytes]:
-        return self.submit(self._reply(envelope, client)).result(timeout)
+    ) -> UnaryReply | StreamReply:
+        return self.submit(
+            self.daemon.handle(envelope, client_hint=client)
+        ).result(timeout)
 
     def query(self, envelope, client: str = "inproc") -> dict:
         """The response payload (or list of frames for a stream)."""
         reply = self.query_reply(envelope, client)
-        if isinstance(reply, list):
-            return [json.loads(frame) for frame in reply]
+        if isinstance(reply, StreamReply):
+            return [json.loads(frame) for frame in reply.frames]
         return reply.payload
 
     def query_bytes(self, envelope, client: str = "inproc") -> bytes:
-        """Canonical serialized payload, for byte-parity comparisons."""
-        reply = self.query_reply(envelope, client)
-        if isinstance(reply, list):
-            return b"\n".join(reply)
-        return reply.body()
+        """Canonical serialized payload, for byte-parity comparisons
+        (a stream's frames joined by newlines)."""
+        return self.query_reply(envelope, client).body()
 
 
 class DaemonClient:
@@ -249,9 +235,7 @@ class DaemonClient:
             return json.loads(line)
         frames = [json.loads(line)]
         if frames[0].get("ok"):
-            # Read until a terminal frame: {"done": true, ...} on
-            # success, {"done": false, "error": ...} if a worker died
-            # mid-stream.
+            # Read until the footer frame, {"done": true, ...}.
             while "done" not in frames[-1]:
                 frames.append(json.loads(self._sock_file.readline()))
         return frames

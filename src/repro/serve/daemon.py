@@ -9,29 +9,33 @@ over two transports:
 - **NDJSON** (unix socket) — one request envelope per line, one
   response (or a header/item/footer frame sequence) per line.
 
-Two execution backends sit behind one ``handle()``:
+Every query takes one path. ``handle()`` decodes, rate-limits and admits
+it, then hands it to the backend's ``submit``. The backend checks a warm
+session out of a pool and calls :func:`answer_query` — the one function
+that turns a session and a ``Query`` into reply bytes — and ``handle()``
+returns those bytes unchanged. Two backends differ only in where that
+call runs:
 
-- **Threaded** (``workers=1``, the default) — solves run on a
-  worker-thread executor sharing this process's interpreter. Zero setup
-  cost, but aggregate throughput is GIL-bound near one core.
-- **Process pool** (``workers=N``) — solves run in N solver worker
-  processes managed by :class:`~repro.serve.workers.WorkerSupervisor`,
-  each with its own warm session pool, routed by shape affinity.
-  Streaming responses relay frame-by-frame from the worker pipe; a
-  crashed worker fails its in-flight requests with a structured
-  ``worker_lost`` error and is respawned.
+- **Threads** (``workers=1``, the default) — :class:`ThreadBackend`
+  calls it on one of ``max_inflight`` executor threads in this process.
+  Zero setup cost, but aggregate throughput is GIL-bound near one core.
+- **Processes** (``workers=N``) — each of N solver worker processes
+  managed by :class:`~repro.serve.workers.WorkerSupervisor` calls it on
+  its own warm pool; the supervisor routes by shape affinity and relays
+  the reply bytes verbatim. A crashed worker fails its in-flight
+  requests with a structured ``worker_lost`` error and is respawned.
 
 Design rules, in priority order:
 
 1. **The event loop never blocks on a solve.** All solver work runs on
-   a worker-thread executor (or an external worker process); the loop
-   only parses, routes, admits, and writes.
+   an executor thread (or in a worker process); the loop only parses,
+   routes, admits, and writes.
 2. **Overload degrades to structured errors, not latency.** Admission
    control bounds inflight + queued requests; everything beyond is shed
    with an ``overloaded`` payload. Per-client token buckets shed abusive
    clients with ``rate_limited``.
 3. **No tracebacks on the wire.** Every failure maps to a structured
-   error payload (:mod:`repro.serve.protocol`); internal errors are
+   error payload through :func:`error_reply`; internal errors are
    reported as ``{"code": "internal"}`` with the exception repr only.
 4. **Sessions are never shared and never recycled corrupted.** Each
    request checks a warm session out of the pool for exclusive use;
@@ -46,19 +50,23 @@ from __future__ import annotations
 
 import asyncio
 import copy
+import json
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 from urllib.parse import unquote
 
 from repro.core.query import Query
 from repro.errors import KnowledgeBaseError, QueryError
 from repro.kb.registry import KnowledgeBase
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import LatencyHistogram, MetricsRegistry
 from repro.par.cache import QueryCache
 from repro.serve.admission import AdmissionController, TokenBucket
-from repro.serve.pool import SessionPool, execute_pooled
+from repro.serve.pool import PooledSession, SessionPool, execute_pooled
 from repro.serve.protocol import (
+    ERROR_HTTP_STATUS,
     KB_VERBS,
     WireError,
     canonical_json,
@@ -70,9 +78,20 @@ from repro.serve.protocol import (
     result_items,
     result_to_wire,
 )
-from repro.serve.workers import StreamRelay, SupervisorConfig, WorkerSupervisor
 
-__all__ = ["DaemonConfig", "ReasoningDaemon", "StreamReply", "UnaryReply"]
+if TYPE_CHECKING:
+    from repro.serve.workers import WorkerSupervisor
+
+__all__ = [
+    "DaemonConfig",
+    "ReasoningDaemon",
+    "StreamReply",
+    "ThreadBackend",
+    "UnaryReply",
+    "answer_query",
+    "error_reply",
+    "solver_stats",
+]
 
 _HTTP_REASONS = {
     200: "OK",
@@ -83,6 +102,13 @@ _HTTP_REASONS = {
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
+
+#: Summable fields of ``SessionPool.stats_dict()``.
+_POOL_SUM_FIELDS = (
+    "hits", "misses", "evictions", "stale_purged", "rekeyed",
+    "discarded_poisoned", "discarded_overflow",
+    "idle", "in_use", "size", "distinct_keys",
+)
 
 
 @dataclass
@@ -97,19 +123,11 @@ class DaemonConfig:
     #: Idle warm sessions retained (0 = fresh compile per request). In
     #: process mode this is the bound *per worker process*.
     pool_size: int = 8
-    #: Solver worker **processes**. 1 (the default) keeps the threaded
-    #: backend; N > 1 runs the shape-affinity process pool.
+    #: Solver worker **processes**. 1 (the default) solves on threads in
+    #: this process; N > 1 runs the shape-affinity process pool.
     workers: int = 1
-    #: Worker threads running solver work in threaded mode.
-    threads: int = 4
-    #: Process mode: queue depth on the affinity-preferred worker beyond
-    #: which a request spills to the least-loaded worker.
-    spill_depth: int = 2
-    #: Process mode: seconds between worker heartbeat pings.
-    heartbeat_interval: float = 2.0
-    #: Process mode: ``multiprocessing`` start method.
-    start_method: str = "spawn"
-    #: Concurrent solves admitted; further requests queue.
+    #: Concurrent solves admitted (and solver threads in threaded mode);
+    #: further requests queue.
     max_inflight: int = 8
     #: Requests allowed to wait for a solve slot; beyond this, shed.
     queue_limit: int = 32
@@ -119,14 +137,14 @@ class DaemonConfig:
     burst: int = 20
     #: Hard bound on a request body / NDJSON line.
     max_body_bytes: int = 1_000_000
-    #: Shared query-result cache entries (0 = disabled, the default:
-    #: caching memoizes the *first* equally-valid answer, which weakens
-    #: the byte-for-byte trajectory parity with direct execution that
-    #: the differential suite pins). Threaded mode shares one cache
-    #: across pooled sessions; process mode gives each worker its own
-    #: cache of this size. Entries carry their request's KB entity
-    #: footprint, so a ``PUT /kb`` delta only invalidates the entries
-    #: whose footprint it intersects.
+    #: Query-result cache entries (0 = disabled, the default: caching
+    #: memoizes the *first* equally-valid answer, which weakens the
+    #: byte-for-byte trajectory parity with direct execution that the
+    #: differential suite pins). Threaded mode shares one cache across
+    #: pooled sessions; process mode gives each worker its own cache of
+    #: this size. Entries carry their request's KB entity footprint, so
+    #: a ``PUT /kb`` delta only invalidates the entries whose footprint
+    #: it intersects.
     cache_size: int = 0
     #: CNF preprocessing for pooled sessions.
     preprocess: bool = True
@@ -136,13 +154,17 @@ class DaemonConfig:
 
 @dataclass
 class UnaryReply:
-    """A single-payload response (every non-streaming request)."""
+    """A single-payload response, held as its canonical JSON bytes."""
 
     status: int
-    payload: dict
+    data: bytes
+
+    @property
+    def payload(self) -> dict:
+        return json.loads(self.data)
 
     def body(self) -> bytes:
-        return canonical_json(self.payload)
+        return self.data
 
 
 @dataclass
@@ -150,23 +172,132 @@ class StreamReply:
     """A streamed response: header frame, item frames, footer frame."""
 
     status: int
-    header: dict
-    items: list
-    footer: dict
+    frames: list[bytes]
 
-    def frames(self) -> list[bytes]:
-        out = [canonical_json(self.header)]
-        out.extend(canonical_json({"item": item, "seq": i})
-                   for i, item in enumerate(self.items))
-        out.append(canonical_json(self.footer))
-        return out
+    def body(self) -> bytes:
+        """The frames as NDJSON (without the final newline)."""
+        return b"\n".join(self.frames)
 
-    async def aiter_frames(self):
-        """Uniform streaming interface shared with
-        :class:`~repro.serve.workers.StreamRelay`, so the transports are
-        backend-agnostic. Buffered replies just replay their frames."""
-        for frame in self.frames():
-            yield frame
+
+# -- the solver side (executor thread or worker process) ---------------------------
+
+
+def error_reply(request_id, exc: Exception) -> UnaryReply:
+    """The structured reply for a failure — the one place exceptions
+    are classified (``str`` for query/KB errors, ``repr`` for internal
+    ones, so the wire never carries a traceback)."""
+    if isinstance(exc, WireError):
+        code, message = exc.code, exc.message
+    elif isinstance(exc, (QueryError, KnowledgeBaseError)):
+        code, message = "bad_request", str(exc)
+    else:
+        code, message = "internal", repr(exc)
+    return UnaryReply(
+        ERROR_HTTP_STATUS[code],
+        canonical_json(error_payload(request_id, code, message)),
+    )
+
+
+def answer_query(pooled: PooledSession, query: Query, request_id,
+                 stream: bool, metrics: MetricsRegistry
+                 ) -> UnaryReply | StreamReply:
+    """Solve *query* on a checked-out session and shape the reply.
+
+    Every solved query is answered here: :class:`ThreadBackend` calls
+    it on an executor thread, each solver worker process calls it from
+    :func:`~repro.serve.workers.worker_main`. Records
+    ``queries.<verb>`` and ``solve_latency.<verb>`` into *metrics*.
+    Never raises: failures become :func:`error_reply` payloads.
+    """
+    try:
+        start = time.perf_counter()
+        result = execute_pooled(pooled, query)
+        metrics.observe_histogram(
+            f"solve_latency.{query.verb}", time.perf_counter() - start
+        )
+        metrics.incr(f"queries.{query.verb}")
+        if stream:
+            items = result_items(query.verb, result)
+            frames = [canonical_json({"id": request_id, "ok": True,
+                                      "verb": query.verb, "stream": True})]
+            frames.extend(canonical_json({"item": item, "seq": i})
+                          for i, item in enumerate(items))
+            frames.append(canonical_json({"done": True, "count": len(items)}))
+            return StreamReply(200, frames)
+        return UnaryReply(200, canonical_json(ok_payload(
+            request_id, query.verb, result_to_wire(query.verb, result),
+        )))
+    except Exception as exc:  # noqa: BLE001 - mapped to a structured reply
+        return error_reply(request_id, exc)
+
+
+def solver_stats(pool: SessionPool, metrics: MetricsRegistry) -> dict:
+    """A solver's stats snapshot: its pool, counters and histograms."""
+    return {
+        "pool": pool.stats_dict(),
+        "counters": metrics.as_dict().get("counters", {}),
+        "histograms": metrics.histogram_states(),
+    }
+
+
+class ThreadBackend:
+    """The threaded backend: one in-process solver slot.
+
+    It answers ``submit`` like :class:`~repro.serve.workers.WorkerSupervisor`
+    does, so ``handle()`` has no per-backend branch. Pool checkout and
+    checkin stay on the event loop; only :func:`answer_query` runs on an
+    executor thread.
+    """
+
+    lost_total = 0
+
+    def __init__(self, pool: SessionPool, threads: int):
+        self.pool = pool
+        #: Solver-side registry, the counterpart of a worker's.
+        self.metrics = MetricsRegistry()
+        self._executor = ThreadPoolExecutor(
+            max_workers=max(1, threads), thread_name_prefix="repro-serve",
+        )
+        self._started_at = time.monotonic()
+
+    async def start(self) -> None:
+        pass
+
+    async def stop(self) -> None:
+        # Called after the admission drain: anything still running was
+        # abandoned by the drain timeout and keeps its thread.
+        self._executor.shutdown(wait=False, cancel_futures=True)
+        self.pool.clear()
+
+    async def submit(self, request_id, kb_name: str, kb: KnowledgeBase,
+                     query: Query, stream: bool, envelope: dict):
+        pooled = self.pool.checkout(kb_name, kb, query)
+        try:
+            return await asyncio.get_running_loop().run_in_executor(
+                self._executor, answer_query, pooled, query, request_id,
+                stream, self.metrics,
+            )
+        finally:
+            self.pool.checkin(pooled)
+
+    async def refresh_stats(self, timeout: float) -> None:
+        pass  # the local snapshot is always current
+
+    def slot_stats(self) -> list[dict]:
+        """One slot — this process — shaped like a worker's entry."""
+        return [{
+            "slot": 0,
+            "pid": os.getpid(),
+            "alive": True,
+            "pending": self.pool.in_use,
+            "restarts": 0,
+            "uptime_s": round(time.monotonic() - self._started_at, 3),
+            "last_pong_age_s": 0.0,
+            **solver_stats(self.pool, self.metrics),
+        }]
+
+
+# -- the front end (event loop) -----------------------------------------------------
 
 
 class ReasoningDaemon:
@@ -210,25 +341,17 @@ class ReasoningDaemon:
             self.config.max_inflight, self.config.queue_limit
         )
         self.bucket = TokenBucket(self.config.rate, self.config.burst)
-        self._workers = ThreadPoolExecutor(
-            max_workers=max(1, self.config.threads),
-            thread_name_prefix="repro-serve",
-        )
         self._supervisor: WorkerSupervisor | None = None
         if self.config.workers > 1:
-            self._supervisor = WorkerSupervisor(
-                self.kbs,
-                SupervisorConfig(
-                    workers=self.config.workers,
-                    pool_size=self.config.pool_size,
-                    cache_size=self.config.cache_size,
-                    preprocess=self.config.preprocess,
-                    spill_depth=self.config.spill_depth,
-                    heartbeat_interval=self.config.heartbeat_interval,
-                    start_method=self.config.start_method,
-                ),
-                metrics=self.metrics,
+            # Imported here: the workers module imports this one.
+            from repro.serve import workers
+
+            self._supervisor = workers.WorkerSupervisor(
+                self.kbs, self.config, metrics=self.metrics
             )
+        self._backend = self._supervisor or ThreadBackend(
+            self.pool, self.config.max_inflight
+        )
         self._servers: list[asyncio.AbstractServer] = []
         self._conn_tasks: set[asyncio.Task] = set()
         self._draining = False
@@ -254,8 +377,7 @@ class ReasoningDaemon:
     async def start(self) -> None:
         """Bind the configured transports (and spawn worker processes)."""
         cfg = self.config
-        if self._supervisor is not None:
-            await self._supervisor.start()
+        await self._backend.start()
         # Leave generous slack over max_body_bytes so the size check in
         # decode_envelope (not the stream reader) reports the violation.
         limit = cfg.max_body_bytes + 65536
@@ -277,7 +399,7 @@ class ReasoningDaemon:
 
         Returns True when every inflight request finished inside
         ``drain_timeout``; False when the drain timed out and running
-        solves were abandoned to their worker threads.
+        solves were abandoned.
         """
         self._draining = True
         for server in self._servers:
@@ -291,10 +413,7 @@ class ReasoningDaemon:
             task.cancel()
         if self._conn_tasks:
             await asyncio.gather(*self._conn_tasks, return_exceptions=True)
-        self._workers.shutdown(wait=drained, cancel_futures=True)
-        if self._supervisor is not None and self._supervisor.started:
-            await self._supervisor.stop()
-        self.pool.clear()
+        await self._backend.stop()
         self.metrics.incr("shutdowns")
         return drained
 
@@ -302,14 +421,8 @@ class ReasoningDaemon:
 
     async def handle(
         self, raw: bytes | dict, client_hint: str = "inproc"
-    ) -> UnaryReply | StreamReply | StreamRelay:
-        """Answer one request envelope; never raises.
-
-        Returns a :class:`UnaryReply`, a buffered :class:`StreamReply`
-        (threaded mode), or a live :class:`StreamRelay` (process mode) —
-        the two stream types share ``aiter_frames()`` so transports
-        treat them identically.
-        """
+    ) -> UnaryReply | StreamReply:
+        """Answer one request envelope; never raises."""
         self.metrics.incr("requests")
         request_id = None
         try:
@@ -333,74 +446,51 @@ class ReasoningDaemon:
                     f"(burst {self.config.burst})",
                 )
             if envelope.get("verb") in KB_VERBS:
-                return await self._handle_kb_update(request_id, envelope)
-            kb_name, query, stream = envelope_to_query(envelope)
-            kb = self.kbs.get(kb_name)
-            if kb is None:
-                raise WireError(
-                    "not_found",
-                    f"unknown kb {kb_name!r}; served: "
-                    f"{sorted(self.kbs)}",
-                )
-            if not await self.admission.try_acquire():
-                self.metrics.incr("requests.shed")
-                raise WireError(
-                    "overloaded",
-                    f"queue full ({self.config.max_inflight} inflight "
-                    f"+ {self.config.queue_limit} queued); retry later",
-                )
-            self.metrics.set_gauge(
-                "queue_depth", self.admission.queue_depth
-            )
-            if self._supervisor is not None:
-                return await self._handle_process(
-                    request_id, kb_name, kb, query, stream
-                )
-            try:
-                result, elapsed = await self._run(kb_name, kb, query)
-            finally:
-                self.admission.release()
-            self.metrics.observe_histogram(
-                f"latency.{query.verb}", elapsed
-            )
+                reply = await self._handle_kb_update(request_id, envelope)
+            else:
+                reply = await self._handle_query(request_id, envelope)
+        except Exception as exc:  # noqa: BLE001 - rule 3
+            reply = error_reply(request_id, exc)
+        if reply.status == 200:
             self.metrics.incr("requests.ok")
-            if stream:
-                items = result_items(query.verb, result)
-                return StreamReply(
-                    200,
-                    {"id": request_id, "ok": True, "verb": query.verb,
-                     "stream": True},
-                    items,
-                    {"done": True, "count": len(items)},
-                )
-            return UnaryReply(
-                200,
-                ok_payload(
-                    request_id, query.verb,
-                    result_to_wire(query.verb, result),
-                ),
+        else:
+            code = reply.payload["error"]["code"]
+            self.metrics.incr(f"requests.error.{code}")
+        return reply
+
+    async def _handle_query(self, request_id, envelope: dict):
+        """Admit a query and answer it on the backend.
+
+        The admission slot is held until the whole reply is in hand, in
+        both modes, so ``stop()``'s drain waits for every answer.
+        """
+        kb_name, query, stream = envelope_to_query(envelope)
+        kb = self.kbs.get(kb_name)
+        if kb is None:
+            raise WireError(
+                "not_found",
+                f"unknown kb {kb_name!r}; served: {sorted(self.kbs)}",
             )
-        except WireError as exc:
-            self.metrics.incr(f"requests.error.{exc.code}")
-            return UnaryReply(
-                exc.http_status,
-                error_payload(request_id, exc.code, exc.message),
+        if not await self.admission.try_acquire():
+            self.metrics.incr("requests.shed")
+            raise WireError(
+                "overloaded",
+                f"queue full ({self.config.max_inflight} inflight "
+                f"+ {self.config.queue_limit} queued); retry later",
             )
-        except (QueryError, KnowledgeBaseError) as exc:
-            self.metrics.incr("requests.error.bad_request")
-            return UnaryReply(
-                400, error_payload(request_id, "bad_request", str(exc))
+        self.metrics.set_gauge("queue_depth", self.admission.queue_depth)
+        start = time.perf_counter()
+        try:
+            reply = await self._backend.submit(
+                request_id, kb_name, kb, query, stream, envelope
             )
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:
-            # Rule 3: internal failures become structured payloads; the
-            # exception repr is enough to find the bug without leaking a
-            # stack trace to an untrusted peer.
-            self.metrics.incr("requests.error.internal")
-            return UnaryReply(
-                500, error_payload(request_id, "internal", repr(exc))
+        finally:
+            self.admission.release()
+        if reply.status == 200:
+            self.metrics.observe_histogram(
+                f"latency.{query.verb}", time.perf_counter() - start
             )
+        return reply
 
     async def _handle_kb_update(
         self, request_id, envelope: dict
@@ -457,78 +547,37 @@ class ReasoningDaemon:
                     for kind, name in changed
                 ),
             }
-        self.metrics.incr("requests.ok")
-        return UnaryReply(
-            200, ok_payload(request_id, envelope.get("verb"), result)
-        )
-
-    async def _handle_process(
-        self, request_id, kb_name: str, kb: KnowledgeBase, query: Query,
-        stream: bool,
-    ) -> UnaryReply | StreamRelay:
-        """Run the (already admitted) query on the worker process pool.
-
-        Unary requests release admission here. Streaming requests hold
-        their admission slot until the relay's terminal frame arrives
-        from the worker (completion callback below) — that is what makes
-        ``stop()``'s drain wait for in-flight streams, and bounds the
-        number of concurrently relaying streams at ``max_inflight``.
-        """
-        if not self._supervisor.started:
-            # A daemon used via handle() without start() (in-process
-            # harnesses) spins its workers up on first use.
-            await self._supervisor.start()
-        verb = query.verb
-
-        def stream_done(elapsed: float, error_code: str | None) -> None:
-            self.admission.release()
-            if error_code is None:
-                self.metrics.observe_histogram(f"latency.{verb}", elapsed)
-                self.metrics.incr("requests.ok")
-            else:
-                self.metrics.incr(f"requests.error.{error_code}")
-
-        try:
-            reply = await self._supervisor.submit(
-                request_id, kb_name, kb, query, stream,
-                on_complete=stream_done if stream else None,
-            )
-        except BaseException:
-            # WireError (incl. worker_lost before the stream started) is
-            # mapped by handle()'s except clauses; the slot frees here.
-            self.admission.release()
-            raise
-        if stream:
-            return reply  # a StreamRelay; admission released on completion
-        self.admission.release()
-        wire, elapsed = reply
-        self.metrics.observe_histogram(f"latency.{verb}", elapsed)
-        self.metrics.incr("requests.ok")
-        return UnaryReply(200, ok_payload(request_id, verb, wire))
-
-    async def _run(self, kb_name: str, kb: KnowledgeBase, query: Query):
-        """Solve on a pooled session in a worker thread."""
-        loop = asyncio.get_running_loop()
-        pooled = self.pool.checkout(kb_name, kb, query)
-
-        def work():
-            return execute_pooled(pooled, query)
-
-        start = time.perf_counter()
-        try:
-            result = await loop.run_in_executor(self._workers, work)
-        finally:
-            self.pool.checkin(pooled)
-            self.metrics.set_gauge("pool.size", self.pool.size)
-        return result, time.perf_counter() - start
+        return UnaryReply(200, canonical_json(
+            ok_payload(request_id, envelope.get("verb"), result)
+        ))
 
     # -- stats --------------------------------------------------------------------
 
     def stats_payload(self) -> dict:
+        """``/stats``: the daemon block, then the solver slots' snapshots
+        (one in threaded mode, one per worker in process mode) with
+        their pools summed and solve-latency histograms merged."""
         uptime = (
             time.monotonic() - self._started_at
             if self._started_at is not None else 0.0
         )
+        workers = self._backend.slot_stats()
+        pools = [w["pool"] for w in workers if w.get("pool")]
+        pool = {name: sum(p.get(name, 0) for p in pools)
+                for name in _POOL_SUM_FIELDS}
+        lookups = pool["hits"] + pool["misses"]
+        pool["hit_rate"] = (
+            round(pool["hits"] / lookups, 4) if lookups else 0.0
+        )
+        pool["max_sessions"] = self.config.pool_size * len(workers)
+        merged: dict[str, LatencyHistogram] = {}
+        for worker in workers:
+            for name, state in (worker.pop("histograms", None) or {}).items():
+                hist = LatencyHistogram.from_state(state)
+                if name in merged:
+                    merged[name].merge(hist)
+                else:
+                    merged[name] = hist
         payload = {
             "daemon": {
                 "uptime_s": round(uptime, 3),
@@ -538,31 +587,25 @@ class ReasoningDaemon:
                 "kbs": sorted(self.kbs),
                 "mode": self.mode,
                 "workers": self.config.workers,
-                "threads": self.config.threads,
+                "workers_lost": self._backend.lost_total,
                 "rate_limited_clients": self.bucket.clients(),
             },
-            "pool": self.pool.stats_dict(),
+            "pool": pool,
+            "solve_latency": {
+                name: hist.as_dict() for name, hist in sorted(merged.items())
+            },
+            "workers": workers,
             "metrics": self.metrics.as_dict(),
         }
         if self.cache is not None:
             payload["cache"] = self.cache.stats()
-        if self._supervisor is not None and self._supervisor.started:
-            # Process mode: the parent pool is idle; report the
-            # aggregated worker pools, merged solve-latency histograms,
-            # and per-worker detail instead.
-            sup = self._supervisor.stats()
-            payload["pool"] = sup["pool"]
-            payload["workers"] = sup["workers"]
-            payload["solve_latency"] = sup["histograms"]
-            payload["daemon"]["workers_lost"] = sup["lost_total"]
         return payload
 
     async def _stats_reply(self) -> UnaryReply:
-        """``/stats``: ping workers for fresh snapshots first (bounded —
+        """``/stats``: ask workers for fresh snapshots first (bounded —
         a worker mid-solve just contributes its last heartbeat)."""
-        if self._supervisor is not None and self._supervisor.started:
-            await self._supervisor.refresh_stats(timeout=1.0)
-        return UnaryReply(200, self.stats_payload())
+        await self._backend.refresh_stats(timeout=1.0)
+        return UnaryReply(200, canonical_json(self.stats_payload()))
 
     # -- NDJSON transport (unix socket) -------------------------------------------
 
@@ -580,11 +623,11 @@ class ReasoningDaemon:
                     # and close (the rest of the oversized line cannot be
                     # resynchronized).
                     self.metrics.incr("requests.error.oversized")
-                    writer.write(canonical_json(error_payload(
-                        None, "oversized",
+                    writer.write(error_reply(None, WireError(
+                        "oversized",
                         f"request line exceeds "
                         f"{self.config.max_body_bytes} bytes",
-                    )) + b"\n")
+                    )).body() + b"\n")
                     await writer.drain()
                     break
                 if not line:
@@ -593,13 +636,9 @@ class ReasoningDaemon:
                     continue
                 reply = await self.handle(line, client_hint="unix")
                 try:
-                    if isinstance(reply, UnaryReply):
-                        writer.write(reply.body() + b"\n")
-                        await writer.drain()
-                    else:
-                        async for frame in reply.aiter_frames():
-                            writer.write(frame + b"\n")
-                            await writer.drain()
+                    # A stream's body is already one line per frame.
+                    writer.write(reply.body() + b"\n")
+                    await writer.drain()
                 except (ConnectionResetError, BrokenPipeError):
                     self.metrics.incr("stream.aborted")
                     break
@@ -637,9 +676,7 @@ class ReasoningDaemon:
                         f"requests.error.{parse_error.code}"
                     )
                     await self._write_http_json(
-                        writer, parse_error.http_status,
-                        error_payload(None, parse_error.code,
-                                      parse_error.message),
+                        writer, error_reply(None, parse_error),
                         keep_alive=False,
                     )
                     break
@@ -649,8 +686,7 @@ class ReasoningDaemon:
                 try:
                     if isinstance(reply, UnaryReply):
                         await self._write_http_json(
-                            writer, reply.status, reply.payload,
-                            keep_alive=keep_alive,
+                            writer, reply, keep_alive=keep_alive,
                         )
                     else:
                         await self._write_http_stream(
@@ -716,7 +752,7 @@ class ReasoningDaemon:
 
     async def _route_http(
         self, method: str, path: str, body: bytes, client_hint: str
-    ) -> UnaryReply | StreamReply | StreamRelay:
+    ) -> UnaryReply | StreamReply:
         path = path.split("?", 1)[0]
         if method == "POST" and path == "/query":
             return await self.handle(body, client_hint=client_hint)
@@ -726,10 +762,7 @@ class ReasoningDaemon:
                 envelope = decode_envelope(body, self.config.max_body_bytes)
             except WireError as exc:
                 self.metrics.incr(f"requests.error.{exc.code}")
-                return UnaryReply(
-                    exc.http_status,
-                    error_payload(None, exc.code, exc.message),
-                )
+                return error_reply(None, exc)
             envelope["verb"] = "put_kb"
             segments = [unquote(seg) for seg in path[3:].split("/") if seg]
             if segments:
@@ -746,8 +779,8 @@ class ReasoningDaemon:
                 (envelope["kb"], envelope["entity"],
                  envelope["name"]) = segments
             else:
-                return UnaryReply(400, error_payload(
-                    None, "bad_request",
+                return error_reply(None, WireError(
+                    "bad_request",
                     "DELETE path must be /kb/<entity>/<name> or "
                     "/kb/<kb>/<entity>/<name>",
                 ))
@@ -755,23 +788,23 @@ class ReasoningDaemon:
         if method == "GET" and path == "/stats":
             return await self._stats_reply()
         if method == "GET" and path == "/healthz":
-            return UnaryReply(
-                200, {"ok": True, "draining": self._draining}
-            )
-        return UnaryReply(404, error_payload(
-            None, "not_found", f"no route for {method} {path}"
+            return UnaryReply(200, canonical_json(
+                {"ok": True, "draining": self._draining}
+            ))
+        return error_reply(None, WireError(
+            "not_found", f"no route for {method} {path}"
         ))
 
     @staticmethod
     async def _write_http_json(
-        writer: asyncio.StreamWriter, status: int, payload: dict,
+        writer: asyncio.StreamWriter, reply: UnaryReply,
         keep_alive: bool = True,
     ) -> None:
-        body = canonical_json(payload)
-        reason = _HTTP_REASONS.get(status, "Unknown")
+        body = reply.body()
+        reason = _HTTP_REASONS.get(reply.status, "Unknown")
         connection = "keep-alive" if keep_alive else "close"
         head = (
-            f"HTTP/1.1 {status} {reason}\r\n"
+            f"HTTP/1.1 {reply.status} {reason}\r\n"
             f"Content-Type: application/json\r\n"
             f"Content-Length: {len(body)}\r\n"
             f"Connection: {connection}\r\n\r\n"
@@ -781,7 +814,7 @@ class ReasoningDaemon:
 
     @staticmethod
     async def _write_http_stream(
-        writer: asyncio.StreamWriter, reply: StreamReply | StreamRelay,
+        writer: asyncio.StreamWriter, reply: StreamReply,
         keep_alive: bool = True,
     ) -> None:
         connection = "keep-alive" if keep_alive else "close"
@@ -794,7 +827,7 @@ class ReasoningDaemon:
         ).encode("latin-1")
         writer.write(head)
         await writer.drain()
-        async for frame in reply.aiter_frames():
+        for frame in reply.frames:
             data = frame + b"\n"
             writer.write(
                 f"{len(data):x}\r\n".encode("latin-1") + data + b"\r\n"

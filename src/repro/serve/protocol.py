@@ -342,14 +342,3 @@ def ok_payload(request_id: Any, verb: str, result_wire: Any) -> dict:
 def error_payload(request_id: Any, code: str, message: str) -> dict:
     return {"id": request_id, "ok": False,
             "error": {"code": code, "message": message}}
-
-
-def stream_error_frame(code: str, message: str) -> dict:
-    """The terminal frame of a stream that failed after its header.
-
-    Carries ``"done": false`` so line-oriented clients that read until a
-    ``done`` key terminate, plus the structured error. Only the
-    process-pool mode can hit this (a worker dying mid-relay); the
-    threaded daemon computes the full result before the first frame.
-    """
-    return {"done": False, "error": {"code": code, "message": message}}

@@ -1,12 +1,16 @@
 """Multi-process solver execution: a shape-affinity worker pool.
 
-The threaded daemon runs every solve on one Python interpreter, so
+The threaded backend runs every solve on one Python interpreter, so
 aggregate throughput tops out near a single core no matter how many
-clients connect. This module adds the scale-out path: a supervisor in
-the asyncio front-end process forks N solver **worker processes**, each
+clients connect. This module adds the scale-out backend: a supervisor in
+the asyncio front-end process starts N solver **worker processes**, each
 owning its own warm :class:`~repro.serve.pool.SessionPool`, connected
-over per-worker duplex pipes speaking the same canonical-JSON envelopes
-as the public wire (:mod:`repro.serve.protocol`).
+over per-worker duplex pipes.
+
+A worker answers a query exactly as the threaded backend does — with
+:func:`~repro.serve.daemon.answer_query` — and ships the reply's bytes;
+the supervisor hands them to the transport unchanged. Process-mode and
+threaded-mode replies are therefore byte-identical by construction.
 
 Layout::
 
@@ -15,8 +19,9 @@ Layout::
     parse / admit / rate-limit             worker_main():
     WorkerSupervisor.submit()                recv exec/ping/load_kb/...
       route by shape affinity   --pipe-->    SessionPool checkout
-      reader+writer thread per  <--pipe--    execute_pooled() solve
-      worker, frames dispatched              reply result / stream frames
+      (forwards the envelope)                answer_query()
+      reader+writer thread per  <--pipe--    reply header + reply bytes
+      worker, replies dispatched
       onto the event loop
 
 Design rules:
@@ -25,25 +30,22 @@ Design rules:
    hash of the session-pool key ``(kb_name, kb_fingerprint, shape)``, so
    repeat shapes land on the worker that already compiled them and warm
    sessions stay hot instead of being recompiled in every process. When
-   the preferred worker's queue is deeper than ``spill_depth``, the
+   the preferred worker's queue is deeper than :data:`SPILL_DEPTH`, the
    request spills to the least-loaded worker (a cold compile beats
    convoying behind a deep queue).
-2. **Streams relay incrementally.** Worker stream frames are forwarded
-   to the transport as they arrive over the pipe — the supervisor never
-   buffers a whole enumeration before the client sees the first item.
-3. **A dead worker never hangs a client.** The per-worker reader thread
+2. **A dead worker never hangs a client.** The per-worker reader thread
    detects pipe EOF (and the heartbeat monitor detects silent exits);
    every in-flight request on the dead worker fails with a structured
    ``worker_lost`` error and a replacement process is spawned into the
-   same slot, preserving the routing ring.
-4. **Spawn-safe.** Workers are started through a configurable
-   ``multiprocessing`` context (``spawn`` by default): the entry point
-   is a top-level function and knowledge bases are shipped as their
-   JSON serialization, never pickled live objects. KB mutations in the
-   front-end are re-shipped lazily, keyed by (version, fingerprint):
-   when the front-end KB's mutation journal still covers the version a
-   worker holds, only the changed entities travel as an ``apply_delta``
-   op list instead of the whole KB.
+   same slot, preserving the routing ring. A reply travels as one pipe
+   message, so a worker never dies halfway through one.
+3. **Spawn-safe.** Workers are started with the ``spawn`` method: the
+   entry point is a top-level function and knowledge bases are shipped
+   as their JSON serialization, never pickled live objects. KB mutations
+   in the front-end are re-shipped lazily, keyed by (version,
+   fingerprint): when the front-end KB's mutation journal still covers
+   the version a worker holds, only the changed entities travel as an
+   ``apply_delta`` op list instead of the whole KB.
 """
 
 from __future__ import annotations
@@ -55,30 +57,37 @@ import multiprocessing
 import queue
 import threading
 import time
-from dataclasses import dataclass
 
-from repro.errors import KnowledgeBaseError, QueryError
 from repro.kb.registry import KnowledgeBase
-from repro.obs.metrics import LatencyHistogram, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.par.cache import QueryCache
-from repro.serve.pool import SessionPool, execute_pooled
-from repro.serve.protocol import (
-    WireError,
-    canonical_json,
-    envelope_to_query,
-    result_items,
-    result_to_wire,
-    stream_error_frame,
+from repro.serve.daemon import (
+    DaemonConfig,
+    StreamReply,
+    UnaryReply,
+    answer_query,
+    error_reply,
+    solver_stats,
 )
+from repro.serve.pool import SessionPool
+from repro.serve.protocol import WireError, canonical_json, envelope_to_query
 
-__all__ = ["StreamRelay", "WorkerSupervisor", "worker_main"]
+__all__ = ["WorkerSupervisor", "worker_main"]
 
-#: Aggregatable (summable) fields of ``SessionPool.stats_dict()``.
-_POOL_SUM_FIELDS = (
-    "hits", "misses", "evictions", "stale_purged", "rekeyed",
-    "discarded_poisoned", "discarded_overflow",
-    "idle", "in_use", "size", "distinct_keys",
-)
+#: Queue depth on the affinity-preferred worker beyond which a request
+#: spills to the least-loaded worker.
+SPILL_DEPTH = 2
+
+#: Seconds between heartbeat pings (each pong refreshes that worker's
+#: cached stats snapshot).
+HEARTBEAT_INTERVAL_S = 2.0
+
+#: ``multiprocessing`` start method: workers rebuild their state from
+#: JSON, so nothing is forked mid-mutation.
+START_METHOD = "spawn"
+
+#: Seconds stop() waits for workers to exit before terminating them.
+SHUTDOWN_TIMEOUT_S = 5.0
 
 #: Hash-ring points per worker slot. Enough that shapes spread evenly;
 #: the ring only has to be *stable*, since the slot count is fixed for
@@ -96,74 +105,14 @@ _MAX_FAST_DEATHS = 3
 # -- worker side (runs in the child process) ---------------------------------------
 
 
-def _worker_stats(pool: SessionPool, metrics: MetricsRegistry) -> dict:
-    return {
-        "pool": pool.stats_dict(),
-        "counters": metrics.as_dict().get("counters", {}),
-        "histograms": metrics.histogram_states(),
-    }
-
-
-def _execute(conn, msg: dict, kbs: dict, pool: SessionPool,
-             metrics: MetricsRegistry) -> None:
-    """Answer one ``exec`` message with result / stream / error frames.
-
-    Error classification mirrors ``ReasoningDaemon.handle`` exactly
-    (``str`` for query/KB errors, ``repr`` for internal ones) so
-    process-mode error payloads are byte-identical to threaded-mode
-    ones.
-    """
-    rid = msg.get("rid")
-    try:
-        kb_name, query, stream = envelope_to_query(msg["envelope"])
-        kb = kbs.get(kb_name)
-        if kb is None:
-            raise WireError(
-                "internal", f"worker was never shipped kb {kb_name!r}"
-            )
-        start = time.perf_counter()
-        pooled = pool.checkout(kb_name, kb, query)
-        try:
-            result = execute_pooled(pooled, query)
-        finally:
-            pool.checkin(pooled)
-        elapsed = time.perf_counter() - start
-        if stream:
-            items = result_items(query.verb, result)
-            frames = [{"kind": "stream_start", "rid": rid,
-                       "verb": query.verb}]
-            frames.extend({"kind": "item", "rid": rid, "item": item}
-                          for item in items)
-            frames.append({"kind": "stream_end", "rid": rid,
-                           "count": len(items), "elapsed": elapsed})
-        else:
-            frames = [{"kind": "result", "rid": rid,
-                       "wire": result_to_wire(query.verb, result),
-                       "elapsed": elapsed}]
-        metrics.incr(f"queries.{query.verb}")
-        metrics.observe_histogram(f"solve_latency.{query.verb}", elapsed)
-    except WireError as exc:
-        metrics.incr(f"errors.{exc.code}")
-        frames = [{"kind": "error", "rid": rid, "code": exc.code,
-                   "message": exc.message}]
-    except (QueryError, KnowledgeBaseError) as exc:
-        metrics.incr("errors.bad_request")
-        frames = [{"kind": "error", "rid": rid, "code": "bad_request",
-                   "message": str(exc)}]
-    except Exception as exc:  # noqa: BLE001 - the wire gets a repr, never a traceback
-        metrics.incr("errors.internal")
-        frames = [{"kind": "error", "rid": rid, "code": "internal",
-                   "message": repr(exc)}]
-    for frame in frames:
-        conn.send_bytes(canonical_json(frame))
-
-
 def worker_main(conn, slot: int, kb_blobs: dict, pool_size: int,
                 preprocess: bool, cache_size: int = 0) -> None:
     """Entry point of one solver worker process (spawn-safe).
 
-    Serves messages from the supervisor pipe serially: ``exec`` (solve a
-    query on the worker-local session pool), ``ping`` (heartbeat —
+    Serves messages from the supervisor pipe serially: ``exec`` (answer
+    the forwarded request envelope on the worker-local session pool with
+    :func:`~repro.serve.daemon.answer_query`, and send back a ``reply``
+    header line followed by the reply's bytes), ``ping`` (heartbeat —
     answered with a full stats snapshot), ``load_kb`` (replace a KB from
     its JSON serialization after a front-end mutation), ``apply_delta``
     (mutate a KB in place from a front-end delta — warm sessions keyed
@@ -194,7 +143,7 @@ def worker_main(conn, slot: int, kb_blobs: dict, pool_size: int,
             if kind == "ping":
                 conn.send_bytes(canonical_json({
                     "kind": "pong", "seq": msg.get("seq", 0), "slot": slot,
-                    "stats": _worker_stats(pool, metrics),
+                    "stats": solver_stats(pool, metrics),
                 }))
             elif kind == "load_kb":
                 kbs[msg["name"]] = KnowledgeBase.from_dict(msg["payload"])
@@ -211,7 +160,26 @@ def worker_main(conn, slot: int, kb_blobs: dict, pool_size: int,
                         cache.invalidate_entities(changed)
                     metrics.incr("kb_deltas")
             elif kind == "exec":
-                _execute(conn, msg, kbs, pool, metrics)
+                envelope = msg["envelope"]
+                request_id = envelope.get("id")
+                try:
+                    # The front end already validated this envelope and
+                    # shipped its KB; a failure here is internal.
+                    kb_name, query, stream = envelope_to_query(envelope)
+                    pooled = pool.checkout(kb_name, kbs[kb_name], query)
+                except Exception as exc:  # noqa: BLE001 - becomes a reply
+                    reply = error_reply(request_id, exc)
+                else:
+                    try:
+                        reply = answer_query(pooled, query, request_id,
+                                             stream, metrics)
+                    finally:
+                        pool.checkin(pooled)
+                conn.send_bytes(canonical_json({
+                    "kind": "reply", "rid": msg["rid"],
+                    "status": reply.status,
+                    "stream": isinstance(reply, StreamReply),
+                }) + b"\n" + reply.body())
         except (BrokenPipeError, OSError):
             break
     try:
@@ -223,62 +191,6 @@ def worker_main(conn, slot: int, kb_blobs: dict, pool_size: int,
 # -- supervisor side (runs in the daemon process) ----------------------------------
 
 
-class StreamRelay:
-    """One streaming response being relayed from a worker, frame by frame.
-
-    The supervisor pushes events (item / end / error) as they arrive
-    over the pipe; the transport consumes :meth:`aiter_frames`, which
-    yields bytes identical to the threaded daemon's buffered
-    ``StreamReply.frames()`` — the parity suite pins this.
-    """
-
-    status = 200
-
-    def __init__(self, request_id, verb: str):
-        self.request_id = request_id
-        self.verb = verb
-        self._events: asyncio.Queue = asyncio.Queue()
-
-    def _push(self, kind: str, value) -> None:
-        self._events.put_nowait((kind, value))
-
-    async def aiter_frames(self):
-        yield canonical_json({
-            "id": self.request_id, "ok": True, "verb": self.verb,
-            "stream": True,
-        })
-        seq = 0
-        while True:
-            kind, value = await self._events.get()
-            if kind == "item":
-                yield canonical_json({"item": value, "seq": seq})
-                seq += 1
-            elif kind == "end":
-                yield canonical_json({"done": True, "count": value})
-                return
-            else:  # error (worker died mid-stream)
-                code, message = value
-                yield canonical_json(stream_error_frame(code, message))
-                return
-
-
-@dataclass
-class _Pending:
-    """Book-keeping for one request assigned to a worker."""
-
-    rid: int
-    verb: str
-    stream: bool
-    future: asyncio.Future
-    relay: StreamRelay | None = None
-    #: Fires exactly once when a *started* stream finishes or dies:
-    #: ``on_complete(elapsed_s, error_code_or_None)``. Unary requests
-    #: and streams that fail before their first frame resolve through
-    #: ``future`` instead.
-    on_complete: object = None
-    started: bool = False
-
-
 class _WorkerHandle:
     """Supervisor-side state for one worker slot (survives respawns)."""
 
@@ -287,7 +199,8 @@ class _WorkerHandle:
         self.process = None
         self.conn = None
         self.send_q: queue.Queue | None = None
-        self.pending: dict[int, _Pending] = {}
+        #: request id -> future resolved with the worker's reply.
+        self.pending: dict[int, asyncio.Future] = {}
         #: kb name -> (version, fingerprint) the worker currently holds.
         self.shipped: dict[str, tuple[int, str]] = {}
         self.restarts = 0
@@ -309,46 +222,26 @@ class _WorkerHandle:
         return len(self.pending)
 
 
-@dataclass
-class SupervisorConfig:
-    """The process-pool knobs (split out of ``DaemonConfig``)."""
-
-    workers: int = 2
-    #: Idle warm sessions retained *per worker*.
-    pool_size: int = 8
-    #: Worker-local result-cache entries (0 disables caching).
-    cache_size: int = 0
-    preprocess: bool = True
-    #: Queue depth on the affinity-preferred worker beyond which a
-    #: request spills to the least-loaded worker.
-    spill_depth: int = 2
-    #: Seconds between heartbeat pings (each pong refreshes that
-    #: worker's cached stats snapshot).
-    heartbeat_interval: float = 2.0
-    #: ``multiprocessing`` start method; ``spawn`` is the safe default
-    #: (workers rebuild state from JSON, nothing is forked mid-mutation).
-    start_method: str = "spawn"
-    #: Seconds stop() waits for workers to exit before terminating them.
-    shutdown_timeout: float = 5.0
-
-
 class WorkerSupervisor:
     """Owns N solver worker processes and routes queries to them.
 
-    Lives on the daemon's event loop. All public coroutines must be
-    awaited from that loop; frame dispatch from the per-worker reader
-    threads is marshalled onto it with ``call_soon_threadsafe``.
+    The process backend of :class:`~repro.serve.daemon.ReasoningDaemon`,
+    configured by its :class:`~repro.serve.daemon.DaemonConfig`
+    (``workers``, ``pool_size``, ``cache_size``, ``preprocess``). Lives
+    on the daemon's event loop. All public coroutines must be awaited
+    from that loop; replies from the per-worker reader threads are
+    marshalled onto it with ``call_soon_threadsafe``.
     """
 
     def __init__(self, kbs: dict[str, KnowledgeBase],
-                 config: SupervisorConfig,
+                 config: DaemonConfig,
                  metrics: MetricsRegistry | None = None):
         if config.workers < 1:
             raise ValueError("need at least one worker process")
         self.kbs = kbs
         self.config = config
         self.metrics = metrics or MetricsRegistry()
-        self.ctx = multiprocessing.get_context(config.start_method)
+        self.ctx = multiprocessing.get_context(START_METHOD)
         self.workers = [_WorkerHandle(slot) for slot in
                         range(config.workers)]
         self._ring = self._build_ring(config.workers)
@@ -383,7 +276,7 @@ class WorkerSupervisor:
         for handle in self.workers:
             if handle.send_q is not None:
                 self._enqueue(handle, {"kind": "shutdown"})
-        deadline = time.monotonic() + self.config.shutdown_timeout
+        deadline = time.monotonic() + SHUTDOWN_TIMEOUT_S
         for handle in self.workers:
             if handle.process is None:
                 continue
@@ -399,11 +292,7 @@ class WorkerSupervisor:
                 if handle.process.is_alive():  # pragma: no cover - last resort
                     handle.process.kill()
             self._teardown_transport(handle)
-            for pending in list(handle.pending.values()):
-                self._fail_pending(
-                    pending, "draining", "daemon is shutting down"
-                )
-            handle.pending.clear()
+            self._fail_pending(handle, "draining", "daemon is shutting down")
 
     def _spawn(self, handle: _WorkerHandle) -> None:
         parent_conn, child_conn = self.ctx.Pipe(duplex=True)
@@ -467,11 +356,13 @@ class WorkerSupervisor:
                 data = conn.recv_bytes()
             except (EOFError, OSError):
                 break
+            # A JSON header line, then (for a reply) the reply's bytes.
+            head, _, body = data.partition(b"\n")
             try:
-                msg = json.loads(data)
+                msg = json.loads(head)
             except ValueError:
                 continue
-            self._call_on_loop(self._dispatch, handle, conn, msg)
+            self._call_on_loop(self._dispatch, handle, conn, msg, body)
         self._call_on_loop(self._on_reader_eof, handle, conn)
 
     def _call_on_loop(self, fn, *args) -> None:
@@ -482,9 +373,10 @@ class WorkerSupervisor:
 
     # -- event-loop callbacks -----------------------------------------------------
 
-    def _dispatch(self, handle: _WorkerHandle, conn, msg: dict) -> None:
+    def _dispatch(self, handle: _WorkerHandle, conn, msg: dict,
+                  body: bytes) -> None:
         if conn is not handle.conn:
-            return  # frame from a dead worker generation
+            return  # message from a dead worker generation
         kind = msg.get("kind")
         if kind == "pong":
             handle.last_pong = time.monotonic()
@@ -494,40 +386,22 @@ class WorkerSupervisor:
             )
             if waiter is not None and not waiter.done():
                 waiter.set_result(None)
-            return
-        pending = handle.pending.get(msg.get("rid"))
-        if pending is None:
-            return
-        if kind == "result":
-            del handle.pending[pending.rid]
-            if not pending.future.done():
-                pending.future.set_result(
-                    (msg.get("wire"), msg.get("elapsed", 0.0))
+        elif kind == "reply":
+            future = handle.pending.pop(msg.get("rid"), None)
+            if future is not None and not future.done():
+                future.set_result(
+                    StreamReply(msg["status"], body.split(b"\n"))
+                    if msg.get("stream") else UnaryReply(msg["status"], body)
                 )
-        elif kind == "error":
-            del handle.pending[pending.rid]
-            self._fail_pending(pending, msg.get("code", "internal"),
-                               msg.get("message", ""))
-        elif kind == "stream_start":
-            pending.started = True
-            if not pending.future.done():
-                pending.future.set_result(pending.relay)
-        elif kind == "item":
-            pending.relay._push("item", msg.get("item"))
-        elif kind == "stream_end":
-            del handle.pending[pending.rid]
-            pending.relay._push("end", msg.get("count", 0))
-            if pending.on_complete is not None:
-                pending.on_complete(msg.get("elapsed", 0.0), None)
 
-    def _fail_pending(self, pending: _Pending, code: str,
+    @staticmethod
+    def _fail_pending(handle: _WorkerHandle, code: str,
                       message: str) -> None:
-        if pending.stream and pending.started:
-            pending.relay._push("error", (code, message))
-            if pending.on_complete is not None:
-                pending.on_complete(0.0, code)
-        elif not pending.future.done():
-            pending.future.set_exception(WireError(code, message))
+        """Fail every request in flight on *handle* with *code*."""
+        for future in handle.pending.values():
+            if not future.done():
+                future.set_exception(WireError(code, message))
+        handle.pending.clear()
 
     def _on_reader_eof(self, handle: _WorkerHandle, conn) -> None:
         if conn is not handle.conn or self._stopping:
@@ -538,14 +412,11 @@ class WorkerSupervisor:
         """Fail everything in flight on a dead worker and respawn it."""
         self.lost_total += 1
         self.metrics.incr("workers.lost")
-        lost = list(handle.pending.values())
-        handle.pending.clear()
-        message = (
+        self._fail_pending(
+            handle, "worker_lost",
             f"solver worker {handle.slot} (pid {handle.pid}) died with "
-            f"{len(lost)} request(s) in flight; a replacement was spawned"
+            f"{handle.load} request(s) in flight; a replacement was spawned",
         )
-        for pending in lost:
-            self._fail_pending(pending, "worker_lost", message)
         for key in [k for k in self._stats_waiters if k[1] == handle.slot]:
             waiter = self._stats_waiters.pop(key)
             if not waiter.done():
@@ -578,7 +449,7 @@ class WorkerSupervisor:
         """Heartbeat: detect silent worker exits, refresh stats snapshots."""
         try:
             while True:
-                await asyncio.sleep(self.config.heartbeat_interval)
+                await asyncio.sleep(HEARTBEAT_INTERVAL_S)
                 if self._stopping:
                     return
                 for handle in self.workers:
@@ -636,7 +507,7 @@ class WorkerSupervisor:
         if preferred.process is None:
             self.metrics.incr("route.spill")
             return min(live, key=lambda h: h.load)
-        if preferred.load > self.config.spill_depth:
+        if preferred.load > SPILL_DEPTH:
             least = min(live, key=lambda h: h.load)
             if least.load < preferred.load:
                 self.metrics.incr("route.spill")
@@ -681,39 +552,25 @@ class WorkerSupervisor:
         })
 
     async def submit(self, request_id, kb_name: str, kb: KnowledgeBase,
-                     query, stream: bool, on_complete=None):
-        """Run *query* on a worker.
+                     query, stream: bool, envelope: dict):
+        """Answer *query* on a worker and return its reply.
 
-        Returns ``(result_wire, elapsed_s)`` for unary requests, or a
-        :class:`StreamRelay` (already past its first frame) for
-        streaming ones. Raises :class:`WireError` — including code
-        ``worker_lost`` if the assigned worker dies first.
+        The decoded envelope is forwarded as-is, so the worker sees every
+        field the client sent; *query* only picks the worker. Raises
+        :class:`WireError` — code ``worker_lost`` if the assigned worker
+        dies first.
         """
+        if not self.started:
+            # A daemon driven through handle() without start() (in-process
+            # harnesses) spins its workers up on first use.
+            await self.start()
         handle = self.route(kb_name, kb, query)
         self._ship_kb(handle, kb_name, kb)
         self._rid += 1
-        rid = self._rid
         future = self._loop.create_future()
-        pending = _Pending(
-            rid=rid, verb=query.verb, stream=stream, future=future,
-            relay=StreamRelay(request_id, query.verb) if stream else None,
-            on_complete=on_complete,
-        )
-        handle.pending[rid] = pending
+        handle.pending[self._rid] = future
         self._enqueue(handle, {
-            "kind": "exec",
-            "rid": rid,
-            "envelope": {
-                "verb": query.verb,
-                "kb": kb_name,
-                "request": query.request.to_dict(),
-                "options": {
-                    "class_limit": query.class_limit,
-                    "completions_limit": query.completions_limit,
-                    "limit": query.limit,
-                },
-                "stream": stream,
-            },
+            "kind": "exec", "rid": self._rid, "envelope": envelope,
         })
         return await future
 
@@ -741,9 +598,10 @@ class WorkerSupervisor:
         for key in [k for k in self._stats_waiters if k[0] == seq]:
             self._stats_waiters.pop(key)
 
-    def _worker_info(self, handle: _WorkerHandle) -> dict:
+    def slot_stats(self) -> list[dict]:
+        """Per-worker detail plus each worker's last stats snapshot."""
         now = time.monotonic()
-        return {
+        return [{
             "slot": handle.slot,
             "pid": handle.pid,
             "alive": handle.alive,
@@ -759,36 +617,5 @@ class WorkerSupervisor:
             ),
             "pool": handle.last_stats.get("pool"),
             "counters": handle.last_stats.get("counters"),
-        }
-
-    def stats(self) -> dict:
-        """Aggregate view: summed pools, merged latency histograms,
-        per-worker detail. Served under ``/stats`` in process mode."""
-        pools = [
-            handle.last_stats.get("pool") for handle in self.workers
-            if handle.last_stats.get("pool")
-        ]
-        pool = {name: sum(p.get(name, 0) for p in pools)
-                for name in _POOL_SUM_FIELDS}
-        lookups = pool["hits"] + pool["misses"]
-        pool["hit_rate"] = (
-            round(pool["hits"] / lookups, 4) if lookups else 0.0
-        )
-        pool["max_sessions"] = self.config.pool_size * len(self.workers)
-        merged: dict[str, LatencyHistogram] = {}
-        for handle in self.workers:
-            states = handle.last_stats.get("histograms") or {}
-            for name, state in states.items():
-                hist = LatencyHistogram.from_state(state)
-                if name in merged:
-                    merged[name].merge(hist)
-                else:
-                    merged[name] = hist
-        return {
-            "pool": pool,
-            "histograms": {
-                name: hist.as_dict() for name, hist in sorted(merged.items())
-            },
-            "workers": [self._worker_info(h) for h in self.workers],
-            "lost_total": self.lost_total,
-        }
+            "histograms": handle.last_stats.get("histograms"),
+        } for handle in self.workers]

@@ -20,7 +20,6 @@ from repro.kb.rules import Rule
 from repro.kb.store import (
     FACT_KINDS,
     FACT_OPS,
-    KVFactStore,
     MemoryFactStore,
     SqliteFactStore,
 )
@@ -30,12 +29,10 @@ from repro.logic.ast import TRUE
 pytestmark = pytest.mark.timeout(120)
 
 
-@pytest.fixture(params=["memory", "sqlite", "kv"])
+@pytest.fixture(params=["memory", "sqlite"])
 def store(request, tmp_path):
     if request.param == "memory":
         yield MemoryFactStore()
-    elif request.param == "kv":
-        yield KVFactStore()
     else:
         backend = SqliteFactStore(str(tmp_path / "facts.sqlite"))
         yield backend

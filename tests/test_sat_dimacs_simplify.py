@@ -1,17 +1,13 @@
-"""Tests for DIMACS I/O and clause-level preprocessing."""
+"""Tests for DIMACS I/O."""
 
 from __future__ import annotations
-
-import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sat import Solver, parse_dimacs, simplify_clauses, write_dimacs
+from repro.sat import parse_dimacs, write_dimacs
 from repro.sat.dimacs import DimacsFormatError, read_dimacs
-from repro.sat.simplify import propagate_units, remove_subsumed, subsumes
-from tests.conftest import brute_force_sat, random_clauses
 
 
 class TestDimacs:
@@ -77,84 +73,3 @@ class TestDimacs:
         _, parsed = parse_dimacs(write_dimacs(n, clauses))
         assert parsed == clauses
 
-
-class TestUnitPropagation:
-    def test_chain(self):
-        clauses = [[1], [-1, 2], [-2, 3]]
-        residual, assign, contradiction = propagate_units(clauses)
-        assert not contradiction
-        assert assign == {1: True, 2: True, 3: True}
-        assert residual == []
-
-    def test_contradiction(self):
-        _, _, contradiction = propagate_units([[1], [-1]])
-        assert contradiction
-
-    def test_residual_untouched(self):
-        clauses = [[1], [2, 3], [-1, 2, 3]]
-        residual, assign, _ = propagate_units(clauses)
-        assert assign == {1: True}
-        # Propagation strips falsified literals but does not deduplicate
-        # (that is simplify_clauses' job).
-        assert residual == [[2, 3], [2, 3]]
-
-    def test_initial_assignment_respected(self):
-        residual, assign, contradiction = propagate_units(
-            [[1, 2]], assignment={1: False}
-        )
-        assert not contradiction
-        assert assign[2] is True
-
-
-class TestSubsumption:
-    def test_subsumes(self):
-        assert subsumes([1], [1, 2])
-        assert subsumes([1, 2], [1, 2])
-        assert not subsumes([1, 3], [1, 2])
-        assert not subsumes([-1], [1, 2])
-
-    def test_remove_subsumed(self):
-        kept, removed = remove_subsumed([[1, 2, 3], [1, 2], [4]])
-        assert removed == 1
-        assert sorted(map(sorted, kept)) == [[1, 2], [4]]
-
-
-class TestSimplify:
-    def test_full_pipeline(self):
-        result = simplify_clauses([
-            [1, -1, 2],     # tautology
-            [3],            # unit
-            [-3, 4],        # propagates to unit 4
-            [4, 5],         # satisfied by forced 4
-            [5, 6],
-            [5, 6, 7],      # subsumed
-            [6, 5],         # duplicate (as a set)
-        ])
-        assert not result.contradiction
-        assert result.tautologies_removed == 1
-        assert set(result.forced) == {3, 4}
-        assert sorted(map(sorted, result.clauses)) == [[5, 6]]
-
-    def test_contradiction_detected(self):
-        result = simplify_clauses([[1], [-1, 2], [-2]])
-        assert result.contradiction
-
-    @settings(max_examples=80, deadline=None)
-    @given(st.data())
-    def test_equisatisfiable_property(self, data):
-        n = data.draw(st.integers(1, 6))
-        rng = random.Random(data.draw(st.integers(0, 10_000)))
-        clauses = random_clauses(rng, n, data.draw(st.integers(0, 20)))
-        result = simplify_clauses(clauses)
-        original = brute_force_sat(n, clauses)
-        if result.contradiction:
-            assert original is False
-        else:
-            # Simplified + forced literals must match the original verdict.
-            solver = Solver()
-            solver.new_vars(n)
-            for lit in result.forced:
-                solver.add_clause([lit])
-            for clause in result.clauses:
-                solver.add_clause(clause)
-            assert solver.solve() == original

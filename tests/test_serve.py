@@ -231,7 +231,7 @@ class TestDifferentialParity:
 
         mirror = _DirectMirror(kbs)
         config = DaemonConfig(
-            port=None, pool_size=64, threads=1, max_inflight=1,
+            port=None, pool_size=64, max_inflight=1,
         )
         daemon = ReasoningDaemon(kbs, config)
         mismatches = []
@@ -261,7 +261,7 @@ class TestDifferentialParity:
         request = more_workloads_request()
         mirror = _DirectMirror(kbs)
         daemon = ReasoningDaemon(
-            kbs, DaemonConfig(port=None, pool_size=8, threads=1)
+            kbs, DaemonConfig(port=None, pool_size=8)
         )
         with InprocDaemon(daemon) as harness:
             for verb, options in [

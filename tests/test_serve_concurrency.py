@@ -76,7 +76,7 @@ class TestConcurrentIsolation:
     def test_32_clients_interleaved_kbs_no_state_bleed(self):
         kbs = {"feasible": _kb(True), "infeasible": _kb(False)}
         config = DaemonConfig(
-            port=None, pool_size=4, threads=8, max_inflight=8,
+            port=None, pool_size=4, max_inflight=8,
             queue_limit=CLIENTS * QUERIES_PER_CLIENT,
         )
         daemon = ReasoningDaemon(kbs, config)
@@ -128,7 +128,7 @@ class TestConcurrentIsolation:
         """Many distinct shapes cannot grow the pool past its cap."""
         daemon = ReasoningDaemon(
             {"feasible": _kb(True)},
-            DaemonConfig(port=None, pool_size=2, threads=2, max_inflight=2,
+            DaemonConfig(port=None, pool_size=2, max_inflight=2,
                          queue_limit=64),
         )
         with InprocDaemon(daemon) as harness:
@@ -148,7 +148,7 @@ class TestOverloadBehaviour:
     def test_rate_limited_clients_get_structured_errors(self):
         daemon = ReasoningDaemon(
             {"feasible": _kb(True)},
-            DaemonConfig(port=None, pool_size=2, threads=2, rate=1.0,
+            DaemonConfig(port=None, pool_size=2, rate=1.0,
                          burst=2),
         )
         with InprocDaemon(daemon) as harness:
@@ -177,7 +177,7 @@ class TestOverloadBehaviour:
         # every admitted request still completes.
         daemon = ReasoningDaemon(
             default_knowledge_base(),
-            DaemonConfig(port=None, pool_size=2, threads=1, max_inflight=1,
+            DaemonConfig(port=None, pool_size=2, max_inflight=1,
                          queue_limit=1),
         )
         from repro.knowledge.casestudy import more_workloads_request

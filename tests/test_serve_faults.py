@@ -80,7 +80,7 @@ def served(tmp_path):
     config = DaemonConfig(
         port=0,
         unix_path=str(tmp_path / "reasond.sock"),
-        pool_size=4, threads=2, max_inflight=4, queue_limit=16,
+        pool_size=4, max_inflight=4, queue_limit=16,
         max_body_bytes=2048,
     )
     daemon = ReasoningDaemon(_kb(), config)
@@ -177,7 +177,7 @@ class TestClientReconnect:
 
     def _daemon(self, port=0, unix_path=None):
         config = DaemonConfig(
-            port=port, unix_path=unix_path, pool_size=2, threads=1,
+            port=port, unix_path=unix_path, pool_size=2,
         )
         daemon = ReasoningDaemon(_kb(), config)
         return daemon, InprocDaemon(daemon, start_transports=True).start()
@@ -257,7 +257,7 @@ class TestSolverFaults:
         # window to issue stop() while the solve is inflight.
         daemon = ReasoningDaemon(
             default_knowledge_base(),
-            DaemonConfig(port=None, pool_size=2, threads=1,
+            DaemonConfig(port=None, pool_size=2,
                          drain_timeout=30.0),
         )
         from repro.knowledge.casestudy import more_workloads_request

@@ -96,7 +96,7 @@ def _delete(entity: str, name: str, kb: str = "default",
 class TestKbVerbs:
     def test_put_kb_applies_and_changes_answers(self):
         kb = _kb()
-        daemon = ReasoningDaemon(kb, DaemonConfig(port=None, threads=2))
+        daemon = ReasoningDaemon(kb, DaemonConfig(port=None))
         with InprocDaemon(daemon) as harness:
             before = harness.query(make_envelope("check", _request()))
             assert before["ok"] and before["result"]["feasible"] is True
@@ -115,7 +115,7 @@ class TestKbVerbs:
             assert after["ok"] and after["result"]["feasible"] is False
 
     def test_delete_kb_restores_the_answer(self):
-        daemon = ReasoningDaemon(_kb(), DaemonConfig(port=None, threads=2))
+        daemon = ReasoningDaemon(_kb(), DaemonConfig(port=None))
         with InprocDaemon(daemon) as harness:
             assert harness.query(_put([_outlaw_op()]))["ok"]
             mid = harness.query(make_envelope("check", _request()))
@@ -128,7 +128,7 @@ class TestKbVerbs:
 
     def test_invalid_delta_is_rejected_atomically(self):
         kb = _kb()
-        daemon = ReasoningDaemon(kb, DaemonConfig(port=None, threads=2))
+        daemon = ReasoningDaemon(kb, DaemonConfig(port=None))
         with InprocDaemon(daemon) as harness:
             fingerprint = kb.fingerprint()
             version = kb.version
@@ -147,7 +147,7 @@ class TestKbVerbs:
 
     def test_delta_breaking_validation_is_rejected(self):
         kb = _kb()
-        daemon = ReasoningDaemon(kb, DaemonConfig(port=None, threads=2))
+        daemon = ReasoningDaemon(kb, DaemonConfig(port=None))
         with InprocDaemon(daemon) as harness:
             fingerprint = kb.fingerprint()
             # Removing StackA orphans nothing here, but removing *all*
@@ -170,7 +170,7 @@ class TestKbVerbs:
             assert served.fingerprint() != fingerprint
 
     def test_unknown_kb_and_bad_shapes(self):
-        daemon = ReasoningDaemon(_kb(), DaemonConfig(port=None, threads=2))
+        daemon = ReasoningDaemon(_kb(), DaemonConfig(port=None))
         with InprocDaemon(daemon) as harness:
             for envelope, code, fragment in [
                 (_put([_new_nic_op()], kb="nope"), "not_found", "kb"),
@@ -188,7 +188,7 @@ class TestKbVerbs:
 
 class TestWarmPathSurvival:
     def test_pool_rekeys_instead_of_purging_on_put(self):
-        daemon = ReasoningDaemon(_kb(), DaemonConfig(port=None, threads=2))
+        daemon = ReasoningDaemon(_kb(), DaemonConfig(port=None))
         with InprocDaemon(daemon) as harness:
             assert harness.query(make_envelope("check", _request()))["ok"]
             for i in range(3):
@@ -204,7 +204,7 @@ class TestWarmPathSurvival:
 
     def test_cache_sweeps_only_intersecting_footprints(self):
         daemon = ReasoningDaemon(
-            _kb(), DaemonConfig(port=None, threads=2, cache_size=32)
+            _kb(), DaemonConfig(port=None, cache_size=32)
         )
         pinned = make_envelope("check", DesignRequest(
             workloads=[Workload(name="app",
@@ -258,7 +258,7 @@ class TestThreadedWorkersParity:
             _delete("rule", "never-existed", request_id="d-bad"),
         ]
         with InprocDaemon(
-            ReasoningDaemon(_kb(), DaemonConfig(port=None, threads=2))
+            ReasoningDaemon(_kb(), DaemonConfig(port=None))
         ) as threaded:
             expected = [threaded.query_bytes(e) for e in script]
         with InprocDaemon(
@@ -286,7 +286,7 @@ class TestHttpTransportAndClient:
     @pytest.fixture
     def served(self):
         daemon = ReasoningDaemon(
-            _kb(), DaemonConfig(port=0, pool_size=4, threads=2)
+            _kb(), DaemonConfig(port=0, pool_size=4)
         )
         harness = InprocDaemon(daemon, start_transports=True).start()
         try:
@@ -333,7 +333,7 @@ class TestStorePersistence:
         path = str(tmp_path / "kb.sqlite")
         kb = _kb()
         kb.attach_store(SqliteFactStore(path), snapshot=True)
-        daemon = ReasoningDaemon(kb, DaemonConfig(port=None, threads=2))
+        daemon = ReasoningDaemon(kb, DaemonConfig(port=None))
         with InprocDaemon(daemon) as harness:
             assert harness.query(_put([_new_nic_op(), _outlaw_op()]))["ok"]
             fingerprint = daemon.kbs["default"].fingerprint()
@@ -342,7 +342,7 @@ class TestStorePersistence:
         reborn = KnowledgeBase.from_store(SqliteFactStore(path))
         assert reborn.fingerprint() == fingerprint
         assert "NewNIC" in reborn.hardware
-        daemon2 = ReasoningDaemon(reborn, DaemonConfig(port=None, threads=2))
+        daemon2 = ReasoningDaemon(reborn, DaemonConfig(port=None))
         with InprocDaemon(daemon2) as harness:
             reply = harness.query(make_envelope("check", _request()))
             assert reply["ok"] and reply["result"]["feasible"] is False

@@ -5,14 +5,16 @@ Four obligations, mirroring the daemon's threaded-mode guarantees:
 1. **Byte parity.** Every verb — unary and streamed — answered through
    the worker pool must produce byte-identical wire payloads to the
    threaded daemon (which is itself pinned byte-identical to direct
-   executor runs by test_serve).
+   executor runs by test_serve). Both modes build replies with the same
+   function; this pins that the supervisor relays them unchanged.
 2. **Affinity.** Repeat shapes route to the same worker slot; deep
    queues spill to the least-loaded worker; disabled slots are skipped.
 3. **Loss is structured.** SIGKILLing a worker mid-solve yields a
    ``worker_lost`` error payload (never a hang), the slot respawns, and
    the daemon keeps serving.
 4. **Aggregation.** ``/stats`` reports worker pools summed and
-   solve-latency histograms merged across processes.
+   solve-latency histograms merged across processes, in the same shape
+   as threaded mode.
 """
 
 from __future__ import annotations
@@ -36,8 +38,10 @@ from repro.kb.dsl import obj
 from repro.logic.ast import TRUE, Not
 from repro.serve import DaemonConfig, InprocDaemon, ReasoningDaemon
 from repro.serve.client import make_envelope
+from repro.serve import workers
+from repro.serve.daemon import StreamReply
 from repro.serve.protocol import WireError
-from repro.serve.workers import StreamRelay, SupervisorConfig, WorkerSupervisor
+from repro.serve.workers import WorkerSupervisor
 
 pytestmark = pytest.mark.timeout(300)
 
@@ -113,7 +117,7 @@ class TestProcessParity:
         """Workers answer every verb byte-identically to threaded mode."""
         envelopes = _parity_envelopes()
         with InprocDaemon(
-            ReasoningDaemon(_kb(), DaemonConfig(port=None, threads=2))
+            ReasoningDaemon(_kb(), DaemonConfig(port=None))
         ) as threaded:
             expected = [threaded.query_bytes(e) for e in envelopes]
         with InprocDaemon(
@@ -145,16 +149,20 @@ class TestProcessParity:
             assert daemon.metrics.counter("workers.kb_shipped") == 0
 
 
+def _idle_supervisor(workers: int):
+    """A supervisor whose slots look live but run no process."""
+    kb = _kb()
+    supervisor = WorkerSupervisor(
+        {"default": kb}, DaemonConfig(port=None, workers=workers)
+    )
+    for handle in supervisor.workers:
+        handle.process = object()  # live marker; no real process
+    return supervisor, kb
+
+
 class TestRouting:
-    def _supervisor(self, workers: int, spill_depth: int = 2):
-        kb = _kb()
-        supervisor = WorkerSupervisor(
-            {"default": kb},
-            SupervisorConfig(workers=workers, spill_depth=spill_depth),
-        )
-        for handle in supervisor.workers:
-            handle.process = object()  # live marker; no real process
-        return supervisor, kb
+    def _supervisor(self, workers: int):
+        return _idle_supervisor(workers)
 
     def test_same_shape_always_routes_to_the_same_slot(self):
         supervisor, kb = self._supervisor(4)
@@ -174,8 +182,9 @@ class TestRouting:
         }
         assert len(slots) >= 2
 
-    def test_deep_queue_spills_to_least_loaded_worker(self):
-        supervisor, kb = self._supervisor(2, spill_depth=0)
+    def test_deep_queue_spills_to_least_loaded_worker(self, monkeypatch):
+        monkeypatch.setattr(workers, "SPILL_DEPTH", 0)
+        supervisor, kb = self._supervisor(2)
         query = Query("check", _request())
         preferred = supervisor.route("default", kb, query)
         preferred.pending = {i: object() for i in range(3)}
@@ -203,39 +212,39 @@ class TestRouting:
 
 
 class TestStreamRelay:
-    def test_error_after_start_emits_terminal_error_frame(self):
-        """A worker dying mid-relay terminates the stream structurally:
-        the final frame carries ``done: false`` plus the error, so
-        read-until-done clients never hang."""
-
-        async def run():
-            relay = StreamRelay("rid1", "enumerate")
-            relay._push("item", ["StackA"])
-            relay._push("error", ("worker_lost", "boom"))
-            return [json.loads(f) async for f in relay.aiter_frames()]
-
-        frames = asyncio.run(run())
-        assert frames[0] == {"id": "rid1", "ok": True, "verb": "enumerate",
-                             "stream": True}
-        assert frames[1] == {"item": ["StackA"], "seq": 0}
-        assert frames[2] == {"done": False, "error": {
-            "code": "worker_lost", "message": "boom"}}
-
     def test_clean_stream_ends_with_done_frame(self):
-        async def run():
-            relay = StreamRelay("rid2", "enumerate")
-            relay._push("item", ["StackA"])
-            relay._push("item", ["StackB"])
-            relay._push("end", 2)
-            return [json.loads(f) async for f in relay.aiter_frames()]
+        """The supervisor hands a worker's stream frames to the transport
+        unchanged."""
+        frames = [b'{"id":"rid2","ok":true,"stream":true,"verb":"enumerate"}',
+                  b'{"item":["StackA"],"seq":0}',
+                  b'{"item":["StackB"],"seq":1}',
+                  b'{"count":2,"done":true}']
 
-        frames = asyncio.run(run())
-        assert [f.get("seq") for f in frames[1:-1]] == [0, 1]
-        assert frames[-1] == {"done": True, "count": 2}
+        async def run():
+            supervisor, _kb = _idle_supervisor(1)
+            handle = supervisor.workers[0]
+            handle.conn = object()
+            future = asyncio.get_running_loop().create_future()
+            handle.pending[7] = future
+            supervisor._dispatch(
+                handle, handle.conn,
+                {"kind": "reply", "rid": 7, "status": 200, "stream": True},
+                b"\n".join(frames),
+            )
+            return await future
+
+        reply = asyncio.run(run())
+        assert isinstance(reply, StreamReply)
+        assert reply.frames == frames
+        parsed = [json.loads(f) for f in reply.frames]
+        assert [f.get("seq") for f in parsed[1:-1]] == [0, 1]
+        assert parsed[-1] == {"done": True, "count": 2}
 
 
 class TestWorkerLoss:
-    def test_sigkill_mid_solve_yields_worker_lost_then_respawn(self):
+    def test_sigkill_mid_solve_yields_worker_lost_then_respawn(
+        self, monkeypatch
+    ):
         """The acceptance scenario: kill a worker while it solves.
 
         The in-flight request must fail with a structured ``worker_lost``
@@ -245,9 +254,9 @@ class TestWorkerLoss:
         from repro.knowledge import default_knowledge_base
         from repro.knowledge.casestudy import more_workloads_request
 
+        monkeypatch.setattr(workers, "HEARTBEAT_INTERVAL_S", 0.2)
         daemon = ReasoningDaemon(
-            default_knowledge_base(),
-            DaemonConfig(port=None, workers=2, heartbeat_interval=0.2),
+            default_knowledge_base(), DaemonConfig(port=None, workers=2),
         )
         harness = InprocDaemon(daemon).start()
         try:
@@ -294,6 +303,36 @@ class TestWorkerLoss:
 
 
 class TestStatsAggregation:
+    def test_stats_have_one_shape_in_both_modes(self):
+        """``/stats`` has the same keys in threaded and process mode, and
+        ``solve_latency`` lists ``solve_latency.<verb>`` for every verb
+        answered."""
+        shapes = {}
+        for mode_workers in (1, 2):
+            daemon = ReasoningDaemon(
+                _kb(), DaemonConfig(port=None, workers=mode_workers)
+            )
+            answered = set()
+            with InprocDaemon(daemon) as harness:
+                for envelope in _parity_envelopes():
+                    payload = harness.query(envelope)
+                    head = payload[0] if isinstance(payload, list) else payload
+                    if head["ok"]:
+                        answered.add(envelope["verb"])
+                stats = harness.submit(daemon._stats_reply()).result(60)
+            stats = stats.payload
+            assert answered == {"check", "synthesize", "explain",
+                                "diagnose", "enumerate", "equivalence"}
+            assert set(stats["solve_latency"]) == {
+                f"solve_latency.{verb}" for verb in answered
+            }
+            assert len(stats["workers"]) == mode_workers
+            shapes[mode_workers] = (
+                set(stats), set(stats["daemon"]), set(stats["pool"]),
+                {key for worker in stats["workers"] for key in worker},
+            )
+        assert shapes[1] == shapes[2]
+
     def test_stats_sum_pools_and_merge_histograms_across_workers(self):
         daemon = ReasoningDaemon(
             _kb(), DaemonConfig(port=None, workers=2)
