@@ -14,11 +14,6 @@ results to ``BENCH_solver.json``:
 - **tracer_overhead** — the same solver workload run bare and wrapped in
   *disabled* tracer spans, to demonstrate the near-zero cost of leaving
   instrumentation in place (acceptance: < 2%).
-- **portfolio_batch** — a batch of hard random 3-SAT instances solved
-  sequentially with the default configuration vs. raced through the
-  deterministic interleaved portfolio (``repro.par``), reporting
-  wall-clock and conflict totals plus the per-instance winner
-  (acceptance: portfolio wall-clock <= sequential on the batch).
 - **query_cache** — engine queries with a cold vs. warm
   :class:`~repro.par.QueryCache`, reporting the hit/miss counters and
   the warm/cold speedup (acceptance: warm >= 10x faster).
@@ -90,7 +85,7 @@ from repro.core.engine import ReasoningEngine  # noqa: E402
 from repro.kb.workload import Workload  # noqa: E402
 from repro.knowledge import default_knowledge_base, inference_case_study  # noqa: E402
 from repro.obs import EngineObserver, NULL_TRACER, ProgressRecorder  # noqa: E402
-from repro.par import QueryCache, default_portfolio, solve_portfolio  # noqa: E402
+from repro.par import QueryCache  # noqa: E402
 from repro.par.cache import request_cache_key  # noqa: E402
 from repro.sat import Solver  # noqa: E402
 
@@ -260,65 +255,6 @@ def run_tracer_overhead(quick: bool, repeats: int) -> dict:
         "bare_s": round(bare, 4),
         "disabled_tracer_s": round(disabled, 4),
         "overhead_pct": round(overhead_pct, 2),
-    }
-
-
-#: High-runtime-variance instances (near the hard ratio) where the
-#: default configuration is far from the best of the portfolio — the
-#: workload the portfolio is designed to win. (num_vars, seed) pairs;
-#: clauses at ratio 4.2 from :func:`random_3sat`.
-_PORTFOLIO_BATCH = (
-    (160, 1), (160, 9), (160, 13), (160, 14),
-    (180, 4), (180, 14), (160, 0), (180, 0),
-)
-_PORTFOLIO_BATCH_QUICK = ((60, 1), (60, 3), (80, 0), (80, 2))
-
-
-def run_portfolio_batch(quick: bool) -> dict:
-    """Sequential default solver vs. interleaved 4-config portfolio."""
-    batch = _PORTFOLIO_BATCH_QUICK if quick else _PORTFOLIO_BATCH
-    instances = [
-        (f"3sat_n{n}_s{seed}", n, random_3sat(n, seed, ratio=4.2))
-        for n, seed in batch
-    ]
-
-    start = time.perf_counter()
-    seq_conflicts = 0
-    verdicts = []
-    for _name, num_vars, clauses in instances:
-        solver = Solver()
-        solver.new_vars(num_vars)
-        for clause in clauses:
-            solver.add_clause(clause)
-        verdicts.append(solver.solve())
-        seq_conflicts += solver.stats.conflicts
-    sequential_s = time.perf_counter() - start
-
-    configs = default_portfolio(4)
-    start = time.perf_counter()
-    rows = []
-    par_conflicts = 0
-    for (name, num_vars, clauses), expected in zip(instances, verdicts):
-        result = solve_portfolio(num_vars, clauses, configs=configs)
-        assert result.satisfiable == expected, name
-        par_conflicts += result.conflicts
-        rows.append({
-            "instance": name,
-            "satisfiable": result.satisfiable,
-            "winner": result.winner,
-            "conflicts": result.conflicts,
-        })
-    portfolio_s = time.perf_counter() - start
-
-    speedup = sequential_s / portfolio_s if portfolio_s > 0 else 0.0
-    return {
-        "configs": [c.name for c in configs],
-        "instances": rows,
-        "sequential_s": round(sequential_s, 4),
-        "portfolio_s": round(portfolio_s, 4),
-        "sequential_conflicts": seq_conflicts,
-        "portfolio_conflicts": par_conflicts,
-        "speedup": round(speedup, 3),
     }
 
 
@@ -963,41 +899,38 @@ def main(argv: list[str] | None = None) -> int:
         "workloads": {},
     }
 
-    print("[1/13] prototype queries ...", flush=True)
+    print("[1/12] prototype queries ...", flush=True)
     report["workloads"]["prototype_query"] = run_prototype_query(args.quick)
-    print("[2/13] solver scaling ...", flush=True)
+    print("[2/12] solver scaling ...", flush=True)
     report["workloads"]["solver_scaling"] = run_solver_scaling(args.quick)
-    print("[3/13] tracer overhead ...", flush=True)
+    print("[3/12] tracer overhead ...", flush=True)
     overhead = run_tracer_overhead(args.quick, repeats)
     report["workloads"]["tracer_overhead"] = overhead
-    print("[4/13] portfolio batch ...", flush=True)
-    portfolio = run_portfolio_batch(args.quick)
-    report["workloads"]["portfolio_batch"] = portfolio
-    print("[5/13] query cache ...", flush=True)
+    print("[4/12] query cache ...", flush=True)
     cache_result = run_query_cache(args.quick)
     report["workloads"]["query_cache"] = cache_result
-    print("[6/13] incremental what-if ...", flush=True)
+    print("[5/12] incremental what-if ...", flush=True)
     whatif = run_incremental_whatif(args.quick)
     report["workloads"]["incremental_whatif"] = whatif
-    print("[7/13] incremental diagnose ...", flush=True)
+    print("[6/12] incremental diagnose ...", flush=True)
     diag = run_incremental_diagnose(args.quick)
     report["workloads"]["incremental_diagnose"] = diag
-    print("[8/13] executor dispatch ...", flush=True)
+    print("[7/12] executor dispatch ...", flush=True)
     dispatch = run_executor_dispatch(args.quick, repeats)
     report["workloads"]["executor_dispatch"] = dispatch
-    print("[9/13] propagate micro-opt ...", flush=True)
+    print("[8/12] propagate micro-opt ...", flush=True)
     propagate = run_propagate_microopt(args.quick)
     report["workloads"]["propagate_microopt"] = propagate
-    print("[10/13] cube and conquer ...", flush=True)
+    print("[9/12] cube and conquer ...", flush=True)
     cubes = run_cube_and_conquer(args.quick)
     report["workloads"]["cube_and_conquer"] = cubes
-    print("[11/13] shape key cache ...", flush=True)
+    print("[10/12] shape key cache ...", flush=True)
     shape_cache = run_shape_key_cache(args.quick)
     report["workloads"]["shape_key_cache"] = shape_cache
-    print("[12/13] kb delta ...", flush=True)
+    print("[11/12] kb delta ...", flush=True)
     kb_delta = run_kb_delta(args.quick)
     report["workloads"]["kb_delta"] = kb_delta
-    print("[13/13] daemon load ...", flush=True)
+    print("[12/12] daemon load ...", flush=True)
     daemon = run_daemon_load(args.quick)
     report["workloads"]["daemon_load"] = daemon
 
@@ -1018,9 +951,6 @@ def main(argv: list[str] | None = None) -> int:
     print(f"  tracer overhead (disabled): {overhead['overhead_pct']:+.2f}% "
           f"(bare {overhead['bare_s']:.3f} s, "
           f"spans {overhead['disabled_tracer_s']:.3f} s)")
-    print(f"  portfolio batch: sequential {portfolio['sequential_s']:.3f} s "
-          f"vs portfolio {portfolio['portfolio_s']:.3f} s "
-          f"({portfolio['speedup']:.2f}x)")
     for query in ("check", "synthesize"):
         row = cache_result[query]
         print(f"  cache {query:<11} cold {row['cold_s']:.4f} s "

@@ -230,8 +230,10 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
 def _cmd_solve(args: argparse.Namespace) -> int:
     if args.cubes > 0:
         return _solve_cubes_cmd(args)
-    if args.portfolio > 1:
-        return _solve_portfolio_cmd(args)
+    if args.jobs > 1:
+        print("error: --jobs needs --cubes (the plain solve is one "
+              "process)", file=sys.stderr)
+        return 2
     observer = None
     if args.profile:
         from repro.obs import EngineObserver
@@ -258,82 +260,54 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
     _traced("compile", _load)
     satisfiable = _traced("solve", solver.solve)
-
-    def _epilogue() -> None:
-        if observer is not None:
-            from repro.obs import render_profile
-
-            print()
-            print(render_profile(observer, solver.stats.as_dict()))
-
-    if satisfiable:
-        model = solver.model()
-        print("s SATISFIABLE")
-        lits = [v if model[v] else -v for v in sorted(model)]
-        print("v " + " ".join(str(lit) for lit in lits) + " 0")
-        _epilogue()
-        return 10  # SAT-competition convention
-    print("s UNSATISFIABLE")
-    if args.proof:
+    status = _print_verdict(
+        satisfiable, solver.model() if satisfiable else None
+    )
+    if not satisfiable and args.proof:
         with open(args.proof, "w", encoding="utf-8") as f:
             f.write(solver.proof.to_drat())
         print(f"c DRAT proof written to {args.proof}", file=sys.stderr)
-    _epilogue()
-    return 20
+    if observer is not None:
+        from repro.obs import render_profile
+
+        print()
+        print(render_profile(observer, solver.stats.as_dict()))
+    return status
 
 
 def _solve_cubes_cmd(args: argparse.Namespace) -> int:
     """Cube-and-conquer: split on ``--cubes K`` top-VSIDS variables."""
     from repro.par import solve_cubes
 
-    if args.proof:
-        print("error: --proof is not supported with --cubes "
-              "(no single solver owns the derivation)", file=sys.stderr)
-        return 2
-    if args.portfolio > 1:
-        print("error: --cubes and --portfolio are mutually exclusive",
-              file=sys.stderr)
-        return 2
+    for flag, given in (("--proof", args.proof), ("--profile", args.profile)):
+        if given:
+            print(f"error: {flag} is not supported with --cubes "
+                  "(no single solver owns the search)", file=sys.stderr)
+            return 2
     num_vars, clauses = read_dimacs(args.cnf)
     result = solve_cubes(num_vars, clauses, k=args.cubes, jobs=args.jobs)
     print(f"c cubes mode={result.mode} cubes={result.cubes} "
           f"split={result.split_vars} conflicts={result.conflicts}",
           file=sys.stderr)
-    if result.satisfiable:
-        print("s SATISFIABLE")
-        model = result.model
-        lits = [v if model[v] else -v for v in sorted(model)]
-        print("v " + " ".join(str(lit) for lit in lits) + " 0")
-        return 10
-    print("s UNSATISFIABLE")
-    return 20
+    return _print_verdict(result.satisfiable, result.model)
 
 
-def _solve_portfolio_cmd(args: argparse.Namespace) -> int:
-    """Race ``--portfolio N`` diversified solver configs on the CNF."""
-    from repro.par import default_portfolio, solve_portfolio
+def _print_verdict(satisfiable: bool | None, model) -> int:
+    """Print the SAT-competition verdict lines; return the exit code.
 
-    if args.proof:
-        print("error: --proof is not supported with --portfolio "
-              "(no single solver owns the derivation)", file=sys.stderr)
-        return 2
-    num_vars, clauses = read_dimacs(args.cnf)
-    result = solve_portfolio(
-        num_vars,
-        clauses,
-        configs=default_portfolio(args.portfolio),
-        jobs=args.jobs,
-    )
-    print(f"c portfolio winner={result.winner} mode={result.mode} "
-          f"conflicts={result.conflicts}", file=sys.stderr)
-    if result.satisfiable:
-        print("s SATISFIABLE")
-        model = result.model
-        lits = [v if model[v] else -v for v in sorted(model)]
-        print("v " + " ".join(str(lit) for lit in lits) + " 0")
-        return 10
-    print("s UNSATISFIABLE")
-    return 20
+    10 for SAT (with the ``v`` model line), 20 for UNSAT, and 0 with
+    ``s UNKNOWN`` when no verdict was reached (a cube worker died).
+    """
+    if satisfiable is None:
+        print("s UNKNOWN")
+        return 0
+    if not satisfiable:
+        print("s UNSATISFIABLE")
+        return 20
+    print("s SATISFIABLE")
+    lits = [v if model[v] else -v for v in sorted(model)]
+    print("v " + " ".join(str(lit) for lit in lits) + " 0")
+    return 10
 
 
 def _open_kb_store(path: str):
@@ -576,14 +550,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="on UNSAT, write a DRAT proof to FILE")
     solve.add_argument("--profile", action="store_true",
                        help="print a phase-time and solver-progress profile")
-    solve.add_argument("--portfolio", type=int, default=0, metavar="N",
-                       help="race N diversified solver configs (first "
-                            "verdict wins)")
     solve.add_argument("--cubes", type=int, default=0, metavar="K",
                        help="cube-and-conquer: split on the K top-VSIDS "
                             "variables into 2**K cubes")
     solve.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="portfolio/cube worker processes; 1 = "
+                       help="cube worker processes; 1 = "
                             "deterministic single-process schedule "
                             "(default)")
     solve.set_defaults(func=_cmd_solve)

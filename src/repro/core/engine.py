@@ -94,27 +94,11 @@ class ReasoningEngine:
             preprocess=preprocess,
         )
 
-    # -- executor configuration (read-only views) ---------------------------------
+    # -- executor configuration (read-only view) ----------------------------------
 
     @property
     def observer(self) -> EngineObserver | None:
         return self.executor.observer
-
-    @property
-    def cache(self) -> QueryCache | None:
-        return self.executor.cache
-
-    @property
-    def jobs(self) -> int:
-        return self.executor.jobs
-
-    @property
-    def incremental(self) -> bool:
-        return self.executor.incremental
-
-    @property
-    def preprocess(self) -> bool:
-        return self.executor.preprocess
 
     def session(self):
         """The engine's shared :class:`~repro.core.session.ReasoningSession`.

@@ -15,7 +15,7 @@ this process — same results, no pool.
 
 from __future__ import annotations
 
-import multiprocessing
+from repro.par.cubes import _mp_context
 
 __all__ = ["run_query_batch"]
 
@@ -28,13 +28,6 @@ def _query_worker(payload):
     # compile + preprocessing for a single query.
     executor = QueryExecutor(kb, incremental=False)
     return executor.execute(query)
-
-
-def _mp_context():
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context(
-        "fork" if "fork" in methods else "spawn"
-    )
 
 
 def run_query_batch(kb, queries: list, jobs: int = 1) -> list:

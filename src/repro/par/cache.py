@@ -1,19 +1,13 @@
 """Query-result caching for the solving service.
 
-Two layers share one LRU implementation:
-
-- **solver-level** — results of raw CNF queries, keyed by
-  :func:`cnf_cache_key`, a canonical hash of the clause set plus the
-  assumption set. Clause order, literal order within a clause, and
-  assumption order do not affect the key.
-- **engine-level** — :class:`~repro.core.design.DesignOutcome`s, keyed by
-  :func:`request_cache_key` over the knowledge-base fingerprint, the
-  query verb, and the canonical request serialization. Compilation is
-  deterministic, so this is equivalent to hashing the compiled CNF +
-  assumptions while also skipping the compile on a hit. Any KB mutation
-  (``add_system`` / ``add_hardware`` / ``add_rule`` / ``add_ordering`` /
-  ``merge``) changes the fingerprint, so stale entries can never be
-  served — they simply stop being addressable and age out of the LRU.
+Engine-level results (:class:`~repro.core.design.DesignOutcome`) are
+keyed by :func:`request_cache_key` over the knowledge-base fingerprint,
+the query verb, and the canonical request serialization. Compilation is
+deterministic, so this is equivalent to hashing the compiled CNF +
+assumptions while also skipping the compile on a hit. Any KB mutation
+(``add_system`` / ``add_hardware`` / ``add_rule`` / ``add_ordering`` /
+``merge``) changes the fingerprint, so stale entries can never be
+served — they simply stop being addressable and age out of the LRU.
 
 Hit/miss/eviction counts are kept locally and, when a
 :class:`~repro.obs.MetricsRegistry` is attached, mirrored into it under
@@ -27,34 +21,11 @@ import hashlib
 import json
 import threading
 from collections import OrderedDict
-from collections.abc import Iterable, Sequence
 from typing import Any
 
-__all__ = ["QueryCache", "cnf_cache_key", "request_cache_key"]
+__all__ = ["QueryCache", "request_cache_key"]
 
 _MISS = object()
-
-
-def cnf_cache_key(
-    num_vars: int,
-    clauses: Iterable[Iterable[int]],
-    assumptions: Sequence[int] = (),
-) -> str:
-    """Canonical hash of a CNF query.
-
-    Clauses are canonicalized (literals sorted within each clause, the
-    clause list sorted) and assumptions sorted, so semantically identical
-    queries map to the same key regardless of construction order.
-    """
-    canon = sorted(tuple(sorted(clause)) for clause in clauses)
-    h = hashlib.sha256()
-    h.update(f"p cnf {num_vars}\n".encode())
-    for clause in canon:
-        h.update(b" ".join(b"%d" % lit for lit in clause))
-        h.update(b"\n")
-    h.update(b"a ")
-    h.update(b" ".join(b"%d" % lit for lit in sorted(assumptions)))
-    return h.hexdigest()
 
 
 def request_cache_key(
@@ -95,11 +66,10 @@ class QueryCache:
     """A bounded, thread-safe LRU mapping of query keys to results.
 
     >>> cache = QueryCache(maxsize=128)
-    >>> key = cnf_cache_key(2, [[1, 2]], [])
-    >>> cache.get(key) is None
+    >>> cache.get("key") is None
     True
-    >>> cache.put(key, "answer")
-    >>> cache.get(key)
+    >>> cache.put("key", "answer")
+    >>> cache.get("key")
     'answer'
     """
 
@@ -146,7 +116,7 @@ class QueryCache:
         *footprint* is the entry's KB entity scope (the keys its answer
         was derived from); :meth:`invalidate_entities` drops exactly the
         entries whose footprint intersects a delta. Entries without one
-        (CNF-level keys are content-addressed) are never delta-dropped.
+        are never delta-dropped.
         """
         evicted = 0
         with self._lock:

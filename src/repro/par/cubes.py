@@ -1,16 +1,14 @@
 """Cube-and-conquer: split on top-VSIDS variables, conquer the cubes.
 
-The PR-2 portfolio raced *diversified* configurations of one solver on
-the whole instance and returned ~1.08x — the racers mostly redo each
-other's work. Cube-and-conquer divides instead of racing: a short probe
-solve warms the VSIDS activities, the ``k`` hottest variables become
-split variables, and the ``2**k`` sign combinations over them become
-*cubes* — a complete partition of the search space. Each cube is the
-original CNF under ``assumptions + cube``; SAT on any cube is SAT for
-the instance, UNSAT on every cube is UNSAT (the cubes cover all
-assignments of the split variables).
+Cube-and-conquer divides the search space instead of racing solvers
+over all of it: a short probe solve warms the VSIDS activities, the
+``k`` hottest variables become split variables, and the ``2**k`` sign
+combinations over them become *cubes* — a complete partition of the
+search space. Each cube is the original CNF under ``assumptions +
+cube``; SAT on any cube is SAT for the instance, UNSAT on every cube is
+UNSAT (the cubes cover all assignments of the split variables).
 
-Two execution modes, mirroring ``repro.par.portfolio``:
+Two execution modes:
 
 - **shared** (``jobs <= 1``, the default) — one incremental solver
   conquers the cubes in sequence. Everything learned while refuting cube
@@ -22,8 +20,8 @@ Two execution modes, mirroring ``repro.par.portfolio``:
 - **process** (``jobs >= 2``) — cubes are farmed to ``multiprocessing``
   workers. Each worker reports its verdict *and* the root-level unit
   literals it derived; units merged from finished cubes are injected
-  into every later-launched worker, which is the learned-clause sharing
-  the portfolio never had. SAT anywhere wins immediately.
+  into every later-launched worker, so refuted cubes still share what
+  they learned. SAT anywhere wins immediately.
 
 Verdicts are identical to a sequential solve by construction; cores for
 UNSAT answers are unions of the per-cube cores with the cube literals
@@ -35,11 +33,9 @@ from __future__ import annotations
 
 import multiprocessing
 import queue as queue_mod
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.sat.solver import Solver
-
-from repro.par.cache import QueryCache, cnf_cache_key
 
 __all__ = [
     "CubeResult",
@@ -71,7 +67,6 @@ class CubeResult:
     conflicts: int = 0  #: total conflicts across probe and all cubes
     shared_units: int = 0  #: root units merged across cube workers
     stats: dict[str, int] = field(default_factory=dict)
-    from_cache: bool = False
 
 
 def make_cubes(solver: Solver, k: int) -> tuple[list[int], list[list[int]]]:
@@ -121,7 +116,6 @@ def solve_cubes(
     jobs: int = 1,
     conflict_budget: int | None = None,
     probe_conflicts: int = _PROBE_CONFLICTS,
-    cache: QueryCache | None = None,
 ) -> CubeResult:
     """Decide a CNF by cube-and-conquer over ``2**k`` cubes.
 
@@ -129,28 +123,14 @@ def solve_cubes(
     heuristic; if it already reaches a verdict, that verdict is returned
     with ``cubes=0``. Otherwise the instance is split into ``2**k``
     cubes over the hottest variables and conquered in shared mode
-    (``jobs <= 1``) or by worker processes (``jobs >= 2``). With a
-    *cache*, the canonical CNF+assumptions key is consulted first and
-    decided results are stored back.
+    (``jobs <= 1``) or by worker processes (``jobs >= 2``).
     """
     if k < 0:
         raise ValueError(f"cube split size must be >= 0, got {k}")
     assumptions = list(assumptions or [])
-    key = None
-    if cache is not None:
-        key = cnf_cache_key(num_vars, clauses, assumptions)
-        hit = cache.get(key)
-        if hit is not None:
-            return replace(
-                hit,
-                model=dict(hit.model) if hit.model is not None else None,
-                core=list(hit.core) if hit.core is not None else None,
-                split_vars=list(hit.split_vars),
-                from_cache=True,
-            )
     solver, probe = _probe(num_vars, clauses, assumptions, probe_conflicts)
     if probe.satisfiable is not None:
-        result = CubeResult(
+        return CubeResult(
             satisfiable=probe.satisfiable,
             model=probe.model,
             core=probe.core,
@@ -160,20 +140,15 @@ def solve_cubes(
             conflicts=solver.stats.conflicts,
             stats=probe.stats,
         )
-    else:
-        split_vars, cubes = make_cubes(solver, k)
-        if jobs >= 2 and len(cubes) >= 2:
-            result = _conquer_process(
-                num_vars, clauses, assumptions, split_vars, cubes,
-                jobs, conflict_budget, solver.stats.conflicts,
-            )
-        else:
-            result = _conquer_shared(
-                solver, assumptions, split_vars, cubes, conflict_budget,
-            )
-    if key is not None and result.satisfiable is not None:
-        cache.put(key, result)
-    return result
+    split_vars, cubes = make_cubes(solver, k)
+    if jobs >= 2 and len(cubes) >= 2:
+        return _conquer_process(
+            num_vars, clauses, assumptions, split_vars, cubes,
+            jobs, conflict_budget, solver.stats.conflicts,
+        )
+    return _conquer_shared(
+        solver, assumptions, split_vars, cubes, conflict_budget,
+    )
 
 
 def _strip_cube(core, cube_lits: set[int]) -> list[int]:

@@ -32,7 +32,6 @@ exist so the ablation benchmarks can quantify what each heuristic buys
 from __future__ import annotations
 
 import heapq
-import random
 import time
 from dataclasses import dataclass, field
 from collections.abc import Callable, Iterable, Sequence
@@ -43,6 +42,10 @@ from repro.sat.literals import check_clause, check_literal, var_of
 
 _RESCALE_LIMIT = 1e100
 _RESCALE_FACTOR = 1e-100
+
+#: VSIDS variable-activity and clause-activity decay factors.
+_VAR_DECAY = 0.95
+_CLAUSE_DECAY = 0.999
 
 #: Minimum lazy-heap size before duplicate-entry pressure triggers a rebuild.
 _HEAP_REBUILD_FLOOR = 32
@@ -185,13 +188,9 @@ class Solver:
         enable_restarts: bool = True,
         enable_phase_saving: bool = True,
         restart_base: int = 100,
-        var_decay: float = 0.95,
-        clause_decay: float = 0.999,
         proof_logging: bool = False,
         progress_callback: ProgressCallback | None = None,
         progress_interval: int = 2048,
-        seed: int | None = None,
-        random_phase: bool = False,
         enable_inprocessing: bool = True,
         inprocess_interval: int = 3000,
         vivify_budget: int = 20000,
@@ -230,8 +229,6 @@ class Solver:
         self._order_heap: list[tuple[float, int]] = []
         self._var_inc = 1.0
         self._cla_inc = 1.0
-        self._var_decay = var_decay
-        self._clause_decay = clause_decay
         self._max_learnts = 1000.0
         self._arena_gc_limit = _ARENA_GC_FLOOR
         self._unsat = False
@@ -246,12 +243,6 @@ class Solver:
         self._next_inprocess = self._inprocess_interval
         self._vivify_budget = vivify_budget
         self._restart_base = restart_base
-        # Diversification hooks for portfolio solving (repro.par). The RNG
-        # is a private instance so concurrent solvers — in threads or in
-        # forked workers — never share module-level random state, and a
-        # fixed seed fully determines the search.
-        self._rng = random.Random(seed) if seed is not None else None
-        self._random_phase = random_phase and self._rng is not None
         self._step_attempt = 0
         # Variables removed by preprocessing (bounded variable
         # elimination). They carry no clauses, must never be mentioned
@@ -287,13 +278,7 @@ class Solver:
         return len(self._clauses)
 
     def new_var(self) -> int:
-        """Allocate a fresh variable and return it (a positive int).
-
-        With a ``seed``, each variable starts with a tiny activity jitter
-        (breaking VSIDS ties in a seed-determined order); with
-        ``random_phase`` as well, its initial polarity is randomized.
-        Both leave verdicts untouched — they only diversify the search.
-        """
+        """Allocate a fresh variable and return it (a positive int)."""
         self._num_vars += 1
         v = self._num_vars
         if v > self._lit_cap:
@@ -301,15 +286,9 @@ class Solver:
         self._level.append(0)
         self._reason.append(0)
         self._seen.append(0)
-        if self._random_phase:
-            self._phase.append(self._rng.random() < 0.5)
-        else:
-            self._phase.append(False)
-        if self._rng is not None:
-            self._activity.append(self._rng.random() * 1e-6)
-        else:
-            self._activity.append(0.0)
-        heapq.heappush(self._order_heap, (-self._activity[v], v))
+        self._phase.append(False)
+        self._activity.append(0.0)
+        heapq.heappush(self._order_heap, (0.0, v))
         return v
 
     def new_vars(self, n: int) -> list[int]:
@@ -544,10 +523,10 @@ class Solver:
         search is still open — call again (with the *same* assumptions)
         to continue. Because CDCL restarts cancel to the root level
         anyway, a sequence of ``solve_step`` calls follows the *same
-        trajectory* as one uninterrupted :meth:`solve` — which is what
-        lets a portfolio interleave configurations without perturbing
-        any of them (``repro.par.portfolio``). Inprocessing preserves
-        this: it fires at the same conflict-count boundaries either way.
+        trajectory* as one uninterrupted :meth:`solve`, so a caller can
+        check a deadline between segments without perturbing the search.
+        Inprocessing preserves this: it fires at the same conflict-count
+        boundaries either way.
 
         With ``enable_restarts=False`` a single call runs to completion.
         """
@@ -976,8 +955,8 @@ class Solver:
         heapq.heapify(self._order_heap)
 
     def _decay_activities(self) -> None:
-        self._var_inc /= self._var_decay
-        self._cla_inc /= self._clause_decay
+        self._var_inc /= _VAR_DECAY
+        self._cla_inc /= _CLAUSE_DECAY
 
     def _analyze(self, confl: int) -> tuple[list[int], int, int]:
         """First-UIP conflict analysis.

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
 from repro.sat.dimacs import write_dimacs
+
+CORPUS = Path(__file__).parent / "corpus"
 
 
 class TestStats:
@@ -106,6 +109,44 @@ class TestSolve:
         lits = {int(tok) for tok in line[2:].split() if tok != "0"}
         for clause in clauses:
             assert any(lit in lits for lit in clause)
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_cubes_verdicts(self, jobs, capsys):
+        sat = CORPUS / "3sat_sat_n20.cnf"
+        assert main(["solve", str(sat), "--cubes", "2", "--jobs", jobs]) == 10
+        out = capsys.readouterr().out
+        assert "s SATISFIABLE" in out and "v " in out
+        unsat = CORPUS / "php_5_4.cnf"
+        assert main(["solve", str(unsat), "--cubes", "2", "--jobs", jobs]) == 20
+        assert "s UNSATISFIABLE" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flags", [
+        ["--cubes", "2", "--proof", "p.drat"],
+        ["--cubes", "2", "--profile"],
+        ["--jobs", "2"],
+    ])
+    def test_usage_errors(self, flags, tmp_path, capsys):
+        cnf = tmp_path / "sat.cnf"
+        cnf.write_text(write_dimacs(2, [[1, 2], [-1]]))
+        assert main(["solve", str(cnf), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "s SATISFIABLE" not in captured.out
+
+    def test_cubes_without_verdict_reports_unknown(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        import repro.par
+        from repro.par import CubeResult
+
+        monkeypatch.setattr(
+            repro.par, "solve_cubes",
+            lambda *args, **kwargs: CubeResult(satisfiable=None),
+        )
+        cnf = tmp_path / "sat.cnf"
+        cnf.write_text(write_dimacs(2, [[1, 2], [-1]]))
+        assert main(["solve", str(cnf), "--cubes", "2"]) == 0
+        assert "s UNKNOWN" in capsys.readouterr().out
 
 
 class TestPlan:

@@ -2,9 +2,10 @@
 
 ``tests/corpus/manifest.json`` pins the expected satisfiability of every
 ``.cnf`` file in the directory. Each instance is checked through *both*
-solver paths — the plain sequential :class:`~repro.sat.Solver` and the
-deterministic interleaved portfolio — so a regression in either path
-(or a divergence between them) fails loudly with the instance name.
+solver paths — the plain sequential :class:`~repro.sat.Solver` and
+cube-and-conquer (:func:`~repro.par.solve_cubes`, in shared and worker
+process mode) — so a regression in either path (or a divergence between
+them) fails loudly with the instance name.
 
 The verdicts were fixed when the corpus was generated: the pigeonhole,
 XOR-chain, and unit-conflict families are known analytically, and the
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.par import default_portfolio, solve_portfolio
+from repro.par import solve_cubes
 from repro.sat import Solver
 from repro.sat.dimacs import read_dimacs
 
@@ -58,16 +59,17 @@ def test_sequential_solver_matches_golden_verdict(name):
 
 
 @pytest.mark.parametrize("name", sorted(_MANIFEST))
-def test_portfolio_matches_golden_verdict(name):
+def test_cubes_match_golden_verdict(name):
     num_vars, clauses, expected = _load(name)
-    result = solve_portfolio(
-        num_vars, clauses, configs=default_portfolio(3)
-    )
-    assert result.satisfiable == expected, (
-        f"portfolio regressed on {name} (winner={result.winner})"
-    )
-    if result.satisfiable:
-        assert all(
-            any(result.model[abs(lit)] == (lit > 0) for lit in clause)
-            for clause in clauses
-        ), f"invalid portfolio model on {name}"
+    for jobs in (1, 2):
+        result = solve_cubes(
+            num_vars, clauses, k=2, jobs=jobs, probe_conflicts=0
+        )
+        assert result.satisfiable == expected, (
+            f"cubes regressed on {name} (jobs={jobs} mode={result.mode})"
+        )
+        if result.satisfiable:
+            assert all(
+                any(result.model[abs(lit)] == (lit > 0) for lit in clause)
+                for clause in clauses
+            ), f"invalid cube model on {name} (jobs={jobs})"

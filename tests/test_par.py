@@ -1,13 +1,11 @@
-"""Unit tests for ``repro.par``: portfolio, cache, and batch queries.
+"""Unit tests for ``repro.par``: cube-and-conquer, cache, and batch queries.
 
-Covers the three contract points the differential suites don't:
+Covers the contract points the differential suites don't:
 
-- **determinism** — the interleaved portfolio is a pure function of
-  (instance, configs): same winner, same model, same conflict counts on
-  every run, and immune to the global ``random`` module state (the
-  solver keeps instance-level RNGs only);
-- **cache semantics** — canonical keys, LRU bounds, hit/miss/eviction
-  accounting, metrics mirroring, KB-fingerprint invalidation;
+- **determinism** — restart-segment stepping follows the uninterrupted
+  search, and cube-and-conquer repeats its verdicts and trajectories;
+- **cache semantics** — LRU bounds, hit/miss/eviction accounting,
+  metrics mirroring, KB-fingerprint invalidation;
 - **batch API** — ``check_many``/``synthesize_many`` agree with the
   sequential verbs, dedupe identical requests, and survive a real
   worker pool.
@@ -20,14 +18,7 @@ import random
 import pytest
 
 from repro.obs import MetricsRegistry
-from repro.par import (
-    PortfolioConfig,
-    QueryCache,
-    cnf_cache_key,
-    default_portfolio,
-    request_cache_key,
-    solve_portfolio,
-)
+from repro.par import QueryCache, request_cache_key, solve_cubes
 from repro.sat import Solver
 from tests.conftest import brute_force_sat
 
@@ -42,47 +33,6 @@ def _hard_instance(seed: int, num_vars: int = 40):
 
 
 # -- determinism -------------------------------------------------------------
-
-
-def test_interleaved_portfolio_is_deterministic():
-    num_vars, clauses = _hard_instance(0)
-    results = [
-        solve_portfolio(num_vars, clauses, configs=default_portfolio(4))
-        for _ in range(2)
-    ]
-    first, second = results
-    assert first.satisfiable == second.satisfiable
-    assert first.winner == second.winner
-    assert first.conflicts == second.conflicts
-    assert first.model == second.model
-    assert first.stats == second.stats
-
-
-def test_portfolio_ignores_global_random_state():
-    """Seeding the global random module must not perturb the solver:
-    all portfolio randomness flows through instance-level RNGs."""
-    num_vars, clauses = _hard_instance(1)
-    random.seed(12345)
-    first = solve_portfolio(num_vars, clauses, configs=default_portfolio(4))
-    random.seed(99999)
-    second = solve_portfolio(num_vars, clauses, configs=default_portfolio(4))
-    assert first.winner == second.winner
-    assert first.conflicts == second.conflicts
-    assert first.model == second.model
-
-
-def test_solver_seed_gives_reproducible_runs():
-    num_vars, clauses = _hard_instance(2)
-
-    def run():
-        solver = Solver(seed=7, random_phase=True)
-        solver.new_vars(num_vars)
-        for clause in clauses:
-            solver.add_clause(clause)
-        verdict = solver.solve()
-        return verdict, solver.stats.conflicts, solver.stats.decisions
-
-    assert run() == run()
 
 
 def test_solve_step_follows_solo_trajectory():
@@ -111,110 +61,14 @@ def test_solve_step_follows_solo_trajectory():
 
 def test_process_mode_verdict_is_deterministic():
     num_vars, clauses = _hard_instance(3, num_vars=20)
-    expected = brute_force_sat(
-        num_vars, clauses
-    ) if num_vars <= 20 else None
+    expected = brute_force_sat(num_vars, clauses)
     verdicts = {
-        solve_portfolio(
-            num_vars, clauses, configs=default_portfolio(2), jobs=2
+        solve_cubes(
+            num_vars, clauses, k=2, jobs=2, probe_conflicts=0
         ).satisfiable
         for _ in range(2)
     }
-    assert len(verdicts) == 1
-    if expected is not None:
-        assert verdicts == {expected}
-
-
-# -- portfolio construction --------------------------------------------------
-
-
-def test_default_portfolio_reference_slot_and_seeds():
-    configs = default_portfolio(6, base_seed=3)
-    assert configs[0] == PortfolioConfig(name="default")
-    seeds = [c.seed for c in configs[1:]]
-    assert len(set(seeds)) == len(seeds), "slots must not share RNG streams"
-    assert all(s is not None for s in seeds)
-
-
-def test_default_portfolio_rejects_empty():
-    with pytest.raises(ValueError):
-        default_portfolio(0)
-
-
-def test_portfolio_conflict_budget_exhaustion():
-    """An unsatisfiable-but-hard instance under a tiny budget yields the
-    indeterminate verdict rather than a wrong one."""
-    # PHP(6,5): needs far more than 2 conflicts.
-    holes, pigeons = 5, 6
-    var = lambda p, h: p * holes + h + 1  # noqa: E731
-    clauses = [[var(p, h) for h in range(holes)] for p in range(pigeons)]
-    for h in range(holes):
-        for p1 in range(pigeons):
-            for p2 in range(p1 + 1, pigeons):
-                clauses.append([-var(p1, h), -var(p2, h)])
-    cache = QueryCache()
-    result = solve_portfolio(
-        pigeons * holes, clauses, configs=default_portfolio(2),
-        conflict_budget=2, cache=cache,
-    )
-    assert result.satisfiable is None
-    assert len(cache) == 0, "indeterminate results must not be cached"
-
-
-def test_portfolio_respects_assumptions():
-    result = solve_portfolio(
-        3, [[1, 2], [-1, 3]], assumptions=[-2],
-        configs=default_portfolio(3),
-    )
-    assert result.satisfiable is True
-    assert result.model[2] is False
-    assert result.model[1] is True
-
-    unsat = solve_portfolio(
-        2, [[1, 2]], assumptions=[-1, -2], configs=default_portfolio(3),
-    )
-    assert unsat.satisfiable is False
-    assert set(unsat.core) <= {-1, -2}
-
-
-# -- cnf cache keys ----------------------------------------------------------
-
-
-def test_cnf_cache_key_is_canonical():
-    base = cnf_cache_key(3, [[1, -2], [2, 3]], [1])
-    assert cnf_cache_key(3, [[2, 3], [-2, 1]], [1]) == base
-    assert cnf_cache_key(3, [[1, -2], [3, 2]], [1]) == base
-    assert cnf_cache_key(3, [[1, -2], [2, 3]], [-1]) != base
-    assert cnf_cache_key(4, [[1, -2], [2, 3]], [1]) != base
-    assert cnf_cache_key(3, [[1, -2]], [1]) != base
-
-
-def test_cnf_cache_key_assumption_order_is_irrelevant():
-    assert cnf_cache_key(2, [[1, 2]], [1, -2]) == cnf_cache_key(
-        2, [[1, 2]], [-2, 1]
-    )
-
-
-def test_portfolio_cache_round_trip():
-    num_vars, clauses = _hard_instance(4, num_vars=20)
-    cache = QueryCache()
-    cold = solve_portfolio(
-        num_vars, clauses, configs=default_portfolio(2), cache=cache
-    )
-    warm = solve_portfolio(
-        num_vars, clauses, configs=default_portfolio(2), cache=cache
-    )
-    assert not cold.from_cache
-    assert warm.from_cache
-    assert warm.satisfiable == cold.satisfiable
-    assert warm.model == cold.model
-    # The hit hands out copies: mutating them must not poison the cache.
-    if warm.model is not None:
-        warm.model[1] = not warm.model[1]
-        again = solve_portfolio(
-            num_vars, clauses, configs=default_portfolio(2), cache=cache
-        )
-        assert again.model == cold.model
+    assert verdicts == {expected}
 
 
 # -- LRU cache ---------------------------------------------------------------
@@ -548,18 +402,6 @@ class TestSolveCubes:
                     assert any(
                         model[abs(lit)] == (lit > 0) for lit in clause
                     ), seed
-
-    def test_cache_round_trip(self):
-        from repro.par import solve_cubes
-
-        cache = QueryCache()
-        clauses = _random_3sat(25, 100, seed=6)
-        cold = solve_cubes(25, clauses, k=2, cache=cache)
-        warm = solve_cubes(25, clauses, k=2, cache=cache)
-        assert not cold.from_cache
-        assert warm.from_cache
-        assert warm.satisfiable == cold.satisfiable
-        assert warm.model == cold.model
 
     def test_conflict_budget_returns_unknown(self):
         from repro.par import solve_cubes

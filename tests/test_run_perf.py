@@ -16,7 +16,7 @@ def test_quick_run_writes_well_formed_report(tmp_path, capsys):
     workloads = report["workloads"]
     assert {
         "prototype_query", "solver_scaling", "tracer_overhead",
-        "portfolio_batch", "query_cache", "incremental_whatif",
+        "query_cache", "incremental_whatif",
         "incremental_diagnose", "executor_dispatch",
         "propagate_microopt", "cube_and_conquer",
     } <= workloads.keys()
@@ -33,13 +33,6 @@ def test_quick_run_writes_well_formed_report(tmp_path, capsys):
     overhead = workloads["tracer_overhead"]
     assert overhead["bare_s"] > 0
     assert "overhead_pct" in overhead
-    portfolio = workloads["portfolio_batch"]
-    assert portfolio["configs"][0] == "default"
-    assert portfolio["sequential_s"] > 0
-    assert portfolio["portfolio_s"] > 0
-    for row in portfolio["instances"]:
-        assert row["satisfiable"] in (True, False)
-        assert row["winner"] in portfolio["configs"]
     cache = workloads["query_cache"]
     for query in ("check", "synthesize"):
         assert cache[query]["cold_s"] > 0
@@ -71,8 +64,7 @@ def test_quick_run_writes_well_formed_report(tmp_path, capsys):
 
 def test_committed_report_meets_acceptance():
     """The checked-in BENCH_solver.json records the acceptance numbers:
-    portfolio wall-clock <= sequential on the batch, warm cache >= 10x
-    faster than cold, the incremental what-if session >= 3x faster than
+    warm cache >= 10x faster than cold, the incremental what-if session >= 3x faster than
     fresh-engine-per-query on the 20-query sweep, the shared session
     >= 2x faster on the 20-query repeated-conflict diagnose sweep, the
     Query-IR dispatch layer < 5% over a direct cache probe, unit
@@ -84,8 +76,6 @@ def test_committed_report_meets_acceptance():
     report = json.loads((REPO_ROOT / "BENCH_solver.json").read_text())
     assert report["version"] >= 5
     assert report["quick"] is False
-    portfolio = report["workloads"]["portfolio_batch"]
-    assert portfolio["portfolio_s"] <= portfolio["sequential_s"]
     cache = report["workloads"]["query_cache"]
     for query in ("check", "synthesize"):
         assert cache[query]["speedup"] >= 10

@@ -85,34 +85,26 @@ def test_case_count_meets_floor():
     assert len(_CASES) >= 300
 
 
-# -- portfolio-vs-sequential equivalence ------------------------------------
+# -- cube-and-conquer equivalence --------------------------------------------
 #
-# The portfolio may only change *when* an answer arrives, never *what*
-# it is: every configuration is a sound and complete solver. These cases
-# cross-check the interleaved portfolio against both the brute-force
-# oracle and the plain sequential solver, and validate SAT models
-# clause by clause.
-
-_PORTFOLIO_CASES = [
-    (seed, num_vars, num_clauses, with_assumptions)
-    for seed in range(10)
-    for num_vars, num_clauses in ((4, 10), (6, 18), (8, 26), (8, 34))
-    for with_assumptions in (False, True)
-]
+# Splitting into cubes may only change *how* an answer is found, never
+# *what* it is. These cases solve the ``_CASES`` instances, minus their
+# unit clauses, by cube-and-conquer with the probe disabled: with no
+# units, root propagation cannot decide an instance, so every case
+# really runs over the cubes. The answers are held to the brute-force
+# oracle and the plain sequential solver: SAT models are validated
+# clause by clause, and a merged UNSAT core must be a subset of the
+# assumptions that is unsatisfiable on its own.
 
 
-@pytest.mark.parametrize(
-    "seed,num_vars,num_clauses,with_assumptions", _PORTFOLIO_CASES
-)
-def test_portfolio_matches_sequential(
-    seed, num_vars, num_clauses, with_assumptions
-):
-    from repro.par import default_portfolio, solve_portfolio
+def _check_cubes(seed, num_vars, num_clauses, with_assumptions, jobs):
+    from repro.par import solve_cubes
 
-    rng = random.Random(
-        f"portfolio-{seed}-{num_vars}-{num_clauses}-{with_assumptions}"
-    )
-    clauses = random_clauses(rng, num_vars, num_clauses)
+    rng = random.Random((seed, num_vars, num_clauses, with_assumptions).__hash__())
+    clauses = [
+        clause for clause in random_clauses(rng, num_vars, num_clauses)
+        if len(clause) > 1
+    ]
     assumptions = (
         _random_assumptions(rng, num_vars) if with_assumptions else []
     )
@@ -127,40 +119,42 @@ def test_portfolio_matches_sequential(
     )
     assert expected == oracle
 
-    result = solve_portfolio(
-        num_vars, clauses, assumptions=assumptions,
-        configs=default_portfolio(4, base_seed=seed),
+    result = solve_cubes(
+        num_vars, clauses, assumptions=assumptions, k=2, jobs=jobs,
+        probe_conflicts=0,
     )
+    assert result.mode == ("process" if jobs >= 2 else "shared")
     assert result.satisfiable == expected, (
-        f"portfolio disagrees on seed={seed} n={num_vars} m={num_clauses} "
-        f"assumptions={assumptions} winner={result.winner}"
+        f"cubes disagree on seed={seed} n={num_vars} m={num_clauses} "
+        f"assumptions={assumptions} jobs={jobs} winner={result.winner}"
     )
     if result.satisfiable:
         assert _model_satisfies(result.model, clauses)
         for lit in assumptions:
             assert result.model[abs(lit)] == (lit > 0)
-    elif assumptions:
+    else:
         assert set(result.core) <= set(assumptions)
         assert not brute_force_sat(
             num_vars, clauses + [[lit] for lit in result.core]
         )
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_portfolio_process_mode_matches_oracle(seed):
-    """jobs=2 races real worker processes; the verdict must not change."""
-    from repro.par import default_portfolio, solve_portfolio
+@pytest.mark.parametrize(
+    "seed,num_vars,num_clauses,with_assumptions", _CASES
+)
+def test_cubes_match_sequential(
+    seed, num_vars, num_clauses, with_assumptions
+):
+    _check_cubes(seed, num_vars, num_clauses, with_assumptions, jobs=1)
 
-    rng = random.Random(f"process-mode-{seed}")
-    clauses = random_clauses(rng, 8, 30)
-    expected = brute_force_sat(8, clauses)
-    result = solve_portfolio(
-        8, clauses, configs=default_portfolio(2, base_seed=seed), jobs=2,
-    )
-    assert result.satisfiable == expected
-    assert result.mode == "process"
-    if result.satisfiable:
-        assert _model_satisfies(result.model, clauses)
+
+@pytest.mark.parametrize("seed", range(4))
+def test_cubes_process_mode_matches_oracle(seed):
+    """jobs=2 conquers the cubes in worker processes; the verdict, model
+    and core checks must hold exactly as in shared mode."""
+    for case in _CASES:
+        if case[0] == seed:
+            _check_cubes(*case, jobs=2)
 
 
 def test_incremental_solving_matches_oracle():
