@@ -18,21 +18,24 @@ Layout::
     ---------------------------            -----------------------------
     parse / admit / rate-limit             worker_main():
     WorkerSupervisor.submit()                recv exec/ping/load_kb/...
-      route by shape affinity   --pipe-->    SessionPool checkout
-      (forwards the envelope)                answer_query()
+      route: fewest in flight,  --pipe-->    SessionPool checkout
+      ties in the key's ring
+      order (forwards the envelope)          answer_query()
       reader+writer thread per  <--pipe--    reply header + reply bytes
       worker, replies dispatched
       onto the event loop
 
 Design rules:
 
-1. **Affinity first, load second.** Requests are routed by a consistent
-   hash of the session-pool key ``(kb_name, kb_fingerprint, shape)``, so
-   repeat shapes land on the worker that already compiled them and warm
-   sessions stay hot instead of being recompiled in every process. When
-   the preferred worker's queue is deeper than :data:`SPILL_DEPTH`, the
-   request spills to the least-loaded worker (a cold compile beats
-   convoying behind a deep queue).
+1. **Least loaded, in ring order.** Walking a consistent-hash ring
+   clockwise from the session-pool key ``(kb_name, kb_fingerprint,
+   shape)`` gives each key a preference order over the live workers; a
+   request goes to the first worker in that order with the fewest
+   requests in flight. Idle workers mean the ring-preferred worker, so
+   repeat shapes land where they were compiled and warm sessions stay
+   hot. A busy one hands the request to the key's next slot, so a shape
+   is compiled on at most as many workers as it has concurrent requests
+   and no worker idles while another has a queue.
 2. **A dead worker never hangs a client.** The per-worker reader thread
    detects pipe EOF (and the heartbeat monitor detects silent exits);
    every in-flight request on the dead worker fails with a structured
@@ -51,6 +54,7 @@ Design rules:
 from __future__ import annotations
 
 import asyncio
+import bisect
 import hashlib
 import json
 import multiprocessing
@@ -73,10 +77,6 @@ from repro.serve.pool import SessionPool
 from repro.serve.protocol import WireError, canonical_json, envelope_to_query
 
 __all__ = ["WorkerSupervisor", "worker_main"]
-
-#: Queue depth on the affinity-preferred worker beyond which a request
-#: spills to the least-loaded worker.
-SPILL_DEPTH = 2
 
 #: Seconds between heartbeat pings (each pong refreshes that worker's
 #: cached stats snapshot).
@@ -245,6 +245,14 @@ class WorkerSupervisor:
         self.workers = [_WorkerHandle(slot) for slot in
                         range(config.workers)]
         self._ring = self._build_ring(config.workers)
+        #: Distinct slots clockwise from each ring entry: the preference
+        #: order of every key that hashes onto that entry.
+        self._orders = [
+            tuple(dict.fromkeys(
+                slot for _point, slot in self._ring[i:] + self._ring[:i]
+            ))
+            for i in range(len(self._ring))
+        ]
         self._rid = 0
         self._ping_seq = 0
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -484,36 +492,33 @@ class WorkerSupervisor:
         return ring
 
     def route(self, kb_name: str, kb: KnowledgeBase, query) -> _WorkerHandle:
-        """Affinity-first routing with least-loaded spillover."""
-        live = [h for h in self.workers if h.process is not None]
+        """The first live worker in the key's ring order with the fewest
+        requests in flight.
+
+        ``route.affinity`` counts requests sent to the key's ring-preferred
+        slot, ``route.spill`` those sent anywhere else (it was busy, dead
+        or disabled).
+        """
+        point = self._hash(repr(SessionPool.key_for(kb_name, kb, query)))
+        order = self._orders[
+            bisect.bisect_left(self._ring, (point,)) % len(self._ring)
+        ]
+        # Only a running process: one that exited but whose pipe EOF is
+        # not handled yet has nothing pending and would otherwise win.
+        live = [self.workers[slot] for slot in order
+                if self.workers[slot].alive]
         if not live:
             raise WireError(
                 "internal",
-                "all solver worker slots are disabled after repeated "
-                "crashes; restart the daemon",
+                "no solver worker is running: every slot is respawning or "
+                "disabled after repeated crashes; restart the daemon if "
+                "this persists",
             )
-        key = SessionPool.key_for(kb_name, kb, query)
-        point = self._hash(repr(key))
-        # First ring entry clockwise of the key's point.
-        lo, hi = 0, len(self._ring)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._ring[mid][0] < point:
-                lo = mid + 1
-            else:
-                hi = mid
-        slot = self._ring[lo % len(self._ring)][1]
-        preferred = self.workers[slot]
-        if preferred.process is None:
-            self.metrics.incr("route.spill")
-            return min(live, key=lambda h: h.load)
-        if preferred.load > SPILL_DEPTH:
-            least = min(live, key=lambda h: h.load)
-            if least.load < preferred.load:
-                self.metrics.incr("route.spill")
-                return least
-        self.metrics.incr("route.affinity")
-        return preferred
+        chosen = min(live, key=lambda h: h.load)  # first of the least loaded
+        self.metrics.incr(
+            "route.affinity" if chosen.slot == order[0] else "route.spill"
+        )
+        return chosen
 
     # -- submission ---------------------------------------------------------------
 

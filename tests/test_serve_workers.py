@@ -7,8 +7,11 @@ Four obligations, mirroring the daemon's threaded-mode guarantees:
    threaded daemon (which is itself pinned byte-identical to direct
    executor runs by test_serve). Both modes build replies with the same
    function; this pins that the supervisor relays them unchanged.
-2. **Affinity.** Repeat shapes route to the same worker slot; deep
-   queues spill to the least-loaded worker; disabled slots are skipped.
+2. **Routing.** A request goes to the first live worker, in its session
+   key's consistent-hash ring order, with the fewest requests in flight:
+   repeat shapes on idle workers share one slot, a busy or dead slot
+   hands the key to its ring successor, and two concurrent requests on
+   one shape keep both workers busy.
 3. **Loss is structured.** SIGKILLing a worker mid-solve yields a
    ``worker_lost`` error payload (never a hang), the slot respawns, and
    the daemon keeps serving.
@@ -40,6 +43,7 @@ from repro.serve import DaemonConfig, InprocDaemon, ReasoningDaemon
 from repro.serve.client import make_envelope
 from repro.serve import workers
 from repro.serve.daemon import StreamReply
+from repro.serve.pool import SessionPool
 from repro.serve.protocol import WireError
 from repro.serve.workers import WorkerSupervisor
 
@@ -149,6 +153,18 @@ class TestProcessParity:
             assert daemon.metrics.counter("workers.kb_shipped") == 0
 
 
+class _StubProcess:
+    """Stands in for a worker process: alive until told otherwise."""
+
+    pid = None
+
+    def __init__(self, alive: bool = True):
+        self.running = alive
+
+    def is_alive(self) -> bool:
+        return self.running
+
+
 def _idle_supervisor(workers: int):
     """A supervisor whose slots look live but run no process."""
     kb = _kb()
@@ -156,8 +172,28 @@ def _idle_supervisor(workers: int):
         {"default": kb}, DaemonConfig(port=None, workers=workers)
     )
     for handle in supervisor.workers:
-        handle.process = object()  # live marker; no real process
+        handle.process = _StubProcess()
     return supervisor, kb
+
+
+def _ring_order(supervisor: WorkerSupervisor, kb, query) -> list[int]:
+    """The key's slots clockwise round the ring, walked independently
+    of ``route``."""
+    key = SessionPool.key_for("default", kb, query)
+    point = supervisor._hash(repr(key))
+    ring = supervisor._ring
+    start = next(
+        (i for i, (p, _slot) in enumerate(ring) if p >= point), 0
+    )
+    order: list[int] = []
+    for _point, slot in ring[start:] + ring[:start]:
+        if slot not in order:
+            order.append(slot)
+    return order
+
+
+def _busy(handle, requests: int = 1) -> None:
+    handle.pending = {i: object() for i in range(requests)}
 
 
 class TestRouting:
@@ -182,17 +218,49 @@ class TestRouting:
         }
         assert len(slots) >= 2
 
-    def test_deep_queue_spills_to_least_loaded_worker(self, monkeypatch):
-        monkeypatch.setattr(workers, "SPILL_DEPTH", 0)
+    def test_busy_preferred_slot_hands_off_to_an_idle_one(self):
         supervisor, kb = self._supervisor(2)
         query = Query("check", _request())
         preferred = supervisor.route("default", kb, query)
-        preferred.pending = {i: object() for i in range(3)}
-        other = next(
-            h for h in supervisor.workers if h is not preferred
-        )
+        _busy(preferred)
+        other = next(h for h in supervisor.workers if h is not preferred)
         assert supervisor.route("default", kb, query) is other
-        assert supervisor.metrics.counter("route.spill") >= 1
+        assert supervisor.metrics.counter("route.spill") == 1
+
+    def test_equal_loads_keep_the_preferred_slot(self):
+        supervisor, kb = self._supervisor(2)
+        query = Query("check", _request())
+        preferred = supervisor.route("default", kb, query)
+        for handle in supervisor.workers:
+            _busy(handle, 2)
+        assert supervisor.route("default", kb, query) is preferred
+        assert supervisor.metrics.counter("route.affinity") == 2
+        assert supervisor.metrics.counter("route.spill") == 0
+
+    def test_busy_preferred_slot_spills_to_its_ring_successor(self):
+        supervisor, kb = self._supervisor(4)
+        for i in range(8):
+            query = Query("check", _request(f"shape{i}"))
+            order = _ring_order(supervisor, kb, query)
+            assert len(order) == 4
+            for handle in supervisor.workers:
+                handle.pending = {}
+            _busy(supervisor.workers[order[0]])
+            slots = {
+                supervisor.route("default", kb, query).slot
+                for _ in range(4)
+            }
+            assert slots == {order[1]}
+
+    def test_disabled_preferred_slot_goes_to_its_ring_successor(self):
+        supervisor, kb = self._supervisor(4)
+        for i in range(8):
+            query = Query("check", _request(f"shape{i}"))
+            order = _ring_order(supervisor, kb, query)
+            for handle in supervisor.workers:
+                handle.process = _StubProcess()
+            supervisor.workers[order[0]].process = None
+            assert supervisor.route("default", kb, query).slot == order[1]
 
     def test_disabled_slot_falls_back_to_a_live_worker(self):
         supervisor, kb = self._supervisor(2)
@@ -202,6 +270,17 @@ class TestRouting:
         routed = supervisor.route("default", kb, query)
         assert routed is not preferred and routed.process is not None
 
+    def test_exited_worker_is_never_chosen_before_its_loss_is_handled(self):
+        """A worker that exited has nothing pending until its pipe EOF is
+        handled; it must not win on load and fail the request."""
+        supervisor, kb = self._supervisor(2)
+        query = Query("check", _request())
+        preferred = supervisor.route("default", kb, query)
+        other = next(h for h in supervisor.workers if h is not preferred)
+        _busy(other, 3)
+        preferred.process = _StubProcess(alive=False)
+        assert supervisor.route("default", kb, query) is other
+
     def test_all_slots_disabled_is_a_structured_error(self):
         supervisor, kb = self._supervisor(2)
         for handle in supervisor.workers:
@@ -209,6 +288,44 @@ class TestRouting:
         with pytest.raises(WireError) as excinfo:
             supervisor.route("default", kb, Query("check", _request()))
         assert excinfo.value.code == "internal"
+
+
+class TestConcurrentRouting:
+    def test_two_concurrent_shapes_on_one_slot_keep_both_workers_busy(self):
+        """Two architects whose shapes prefer the same slot are answered
+        by both workers, byte-identically to threaded mode."""
+        idle, kb = _idle_supervisor(2)
+        by_slot: dict[int, list[str]] = {}
+        for i in range(32):
+            shape = f"shape{i}"
+            query = Query("check", _request(shape))
+            slot = idle.route("default", kb, query).slot
+            by_slot.setdefault(slot, []).append(shape)
+        shapes = next(names for names in by_slot.values() if len(names) >= 2)
+        envelopes = [
+            make_envelope("check", _request(shape), request_id=f"q-{shape}")
+            for shape in shapes[:2]
+        ]
+        with InprocDaemon(
+            ReasoningDaemon(_kb(), DaemonConfig(port=None))
+        ) as threaded:
+            expected = [threaded.query_bytes(e) for e in envelopes]
+
+        daemon = ReasoningDaemon(_kb(), DaemonConfig(port=None, workers=2))
+
+        async def concurrently():
+            return await asyncio.gather(
+                *(daemon.handle(e) for e in envelopes)
+            )
+
+        with InprocDaemon(daemon) as pooled:
+            replies = pooled.submit(concurrently()).result(120)
+            supervisor = daemon._supervisor
+            pooled.submit(supervisor.refresh_stats(timeout=30)).result(60)
+            slots = supervisor.slot_stats()
+        assert [reply.body() for reply in replies] == expected
+        for slot in slots:
+            assert (slot["counters"] or {}).get("queries.check", 0) >= 1, slots
 
 
 class TestStreamRelay:
