@@ -86,6 +86,10 @@ class QueryExecutor:
         self.incremental = incremental
         self.preprocess = preprocess
         self._session = session
+        # Incremental sessions and preprocessing both change which
+        # (equally valid) model or minimal conflict is returned, so
+        # executors under different configurations must not share cache
+        # entries: the configuration is part of every key.
         self._config_tag = f"inc={int(incremental)};pp={int(preprocess)}"
         # Key suffix for option-less queries (check/synthesize/diagnose),
         # precomputed so the warm cache-hit path builds no strings.
@@ -113,15 +117,6 @@ class QueryExecutor:
                 validate=False,
             )
         return self._session
-
-    def config_tag(self) -> str:
-        """Solver/preprocessing configuration component of cache keys.
-
-        Incremental sessions and preprocessing both change which (equally
-        valid) model or minimal conflict is returned, so executors under
-        different configurations must not share cache entries.
-        """
-        return self._config_tag
 
     def cache_key(self, query: Query) -> str | None:
         """*query*'s key in the shared cache; None when not cacheable."""
@@ -342,11 +337,10 @@ class QueryExecutor:
                 conflict=conflict,
                 solver_stats=view.solver.stats.as_dict(),
             )
-        if verb == "check":
-            model = view.solver.model()
-        else:  # synthesize
+        model = view.solver.model()
+        if verb == "synthesize":
             with tracer.span("optimize"):
-                model = self._optimize(view)
+                model = self._optimize(view, model)
         solution = view.extract_solution(model)
         return DesignOutcome(
             True,
@@ -382,13 +376,14 @@ class QueryExecutor:
         deployments.sort(key=lambda systems: (len(systems), systems))
         return deployments
 
-    def _optimize(self, view: CompiledDesign) -> dict[int, bool]:
+    def _optimize(
+        self, view: CompiledDesign, model: dict[int, bool]
+    ) -> dict[int, bool]:
         """Lexicographic descent over the request's objectives.
 
-        Ordering dimensions are minimized via the pseudo-Boolean engine
-        (small rank weights); cost objectives via bound bisection on the
-        bit-vector encoding (dollar/watt-scale weights). Soft rules and
-        parsimony form implicit lowest-priority objectives.
+        *model* is the feasibility model; each objective's descent starts
+        from the model the previous one left, so no solve re-finds a
+        model already in hand.
 
         On the fresh path the view's guards are asserted hard and bounds
         are added permanently (the solver is discarded afterwards). On
@@ -398,12 +393,15 @@ class QueryExecutor:
         """
         if not self.incremental:
             view.assert_guards()
-            return self._descend(view, None, None, None)
-        session = self.session()
+            return self._descend(view, model, [], None, None)
         act = view.solver.new_var()
         try:
             return self._descend(
-                view, view.assumptions() + [act], act, session._totalizers
+                view,
+                model,
+                view.assumptions() + [act],
+                act,
+                self.session()._totalizers,
             )
         finally:
             # Retire this query's frozen optimization bounds.
@@ -412,71 +410,48 @@ class QueryExecutor:
     def _descend(
         self,
         view: CompiledDesign,
-        assumptions: list[int] | None,
+        model: dict[int, bool],
+        base: list[int],
         act: int | None,
         totalizers: dict | None,
     ) -> dict[int, bool]:
+        """Minimize every objective in priority order, threading *model*.
+
+        Cost objectives bisect on the bit-vector encoding (dollar/watt
+        weights); every other objective descends over a totalizer.
+        """
         tracer = self._tracer
         solver, encoder = view.solver, view.encoder
-        base = assumptions or []
-        for name in view.request.optimize:
-            if name in COST_OBJECTIVES:
-                with tracer.span(name):
-                    expr = view.cost_expr(name)
-                    # Stop within ~2% of optimal: the probes nearest the
-                    # true optimum are the hardest UNSAT instances, and
-                    # shallow cost reasoning does not need dollar-exact
-                    # answers.
-                    if solver.solve(base):
-                        first = expr_value(expr, encoder, solver.model())
-                    else:  # pragma: no cover - guarded by feasibility check
-                        first = 0
-                    result = minimize_linexpr(
-                        solver,
-                        encoder,
-                        expr,
-                        tolerance=max(1, first // 50),
-                        tracer=tracer,
-                        assumptions=assumptions,
-                        freeze_lit=act,
-                    )
-                    assert result is not None, "feasible request must stay sat"
-            else:
-                lex = lexicographic_optimize(
+        for objective in _objectives(view):
+            if isinstance(objective, LexObjective):
+                model, _, _ = lexicographic_optimize(
                     solver,
-                    [LexObjective(name, view.objective_terms(name))],
+                    objective,
+                    model,
+                    base,
                     tracer=tracer,
-                    assumptions=assumptions,
                     freeze_lit=act,
                     totalizer_cache=totalizers,
                 )
-                assert lex.satisfiable, "feasible request must stay sat"
-        if view.soft_rule_terms:
-            lex = lexicographic_optimize(
-                solver,
-                [LexObjective("soft_rules", list(view.soft_rule_terms))],
-                tracer=tracer,
-                assumptions=assumptions,
-                freeze_lit=act,
-                totalizer_cache=totalizers,
-            )
-            assert lex.satisfiable, "feasible request must stay sat"
-        # Implicit lowest-priority objective: parsimony. Without it the
-        # solver happily deploys harmless-but-pointless extra systems.
-        parsimony = [PBTerm(1, lit) for lit in view.sys_lits.values()]
-        if parsimony:
-            lex = lexicographic_optimize(
-                solver,
-                [LexObjective("parsimony", parsimony)],
-                tracer=tracer,
-                assumptions=assumptions,
-                freeze_lit=act,
-                totalizer_cache=totalizers,
-            )
-            assert lex.satisfiable, "feasible request must stay sat"
-        satisfiable = solver.solve(base)
-        assert satisfiable, "feasible request must stay sat"
-        return solver.model()
+                continue
+            with tracer.span(objective):
+                expr = view.cost_expr(objective)
+                # Stop within ~2% of optimal: the probes nearest the
+                # true optimum are the hardest UNSAT instances, and
+                # shallow cost reasoning does not need dollar-exact
+                # answers.
+                tolerance = max(1, expr_value(expr, encoder, model) // 50)
+                model, _, _ = minimize_linexpr(
+                    solver,
+                    encoder,
+                    expr,
+                    model,
+                    base,
+                    tolerance=tolerance,
+                    tracer=tracer,
+                    freeze_lit=act,
+                )
+        return model
 
     def _explain(
         self, request: DesignRequest, outcome: DesignOutcome | None
@@ -502,3 +477,25 @@ class QueryExecutor:
     def _record_cache(self, verb: str, hit: bool) -> None:
         if self.observer is not None and self.observer.enabled:
             self.observer.record_cache(verb, hit)
+
+
+def _objectives(view: CompiledDesign):
+    """The request's objectives, highest priority first.
+
+    A cost objective comes as its name, anything else as a
+    :class:`LexObjective`; terms are built when the descent reaches
+    them. Soft rules and parsimony follow as implicit lowest-priority
+    objectives: without parsimony the solver happily deploys
+    harmless-but-pointless extra systems.
+    """
+    for name in view.request.optimize:
+        if name in COST_OBJECTIVES:
+            yield name
+        else:
+            yield LexObjective(name, view.objective_terms(name))
+    if view.soft_rule_terms:
+        yield LexObjective("soft_rules", list(view.soft_rule_terms))
+    if view.sys_lits:
+        yield LexObjective(
+            "parsimony", [PBTerm(1, lit) for lit in view.sys_lits.values()]
+        )

@@ -74,17 +74,6 @@ class Query:
     def cacheable(self) -> bool:
         return self.verb in CACHEABLE_VERBS
 
-    def options_tag(self) -> str:
-        """Canonical serialization of the execution options.
-
-        Folded into :meth:`cache_key` so e.g. an ``equivalence`` query
-        with ``class_limit=4`` never aliases one with ``class_limit=64``.
-        """
-        return (
-            f"cl={self.class_limit};co={self.completions_limit};"
-            f"n={self.limit}"
-        )
-
     def cache_key(
         self, kb, config: str = "", scope: frozenset | None = None
     ) -> str:

@@ -5,7 +5,7 @@ flooding" (§3.4's Microsoft deadlock, encoded as predicate logic), "every
 deployment needs an operating system" (the common-sense question from
 §3.4). A :class:`Rule` names such a fact, gives it a formula, provenance,
 and a severity — hard rules become clauses, soft rules become weighted
-MaxSAT preferences.
+preferences that the optimizer minimizes after the request's objectives.
 """
 
 from __future__ import annotations

@@ -7,8 +7,8 @@ Three encodings of "at most k of these literals are true":
 - **sequential counter** (Sinz 2005) — O(n·k) clauses and auxiliaries;
   the workhorse default.
 - **totalizer** (Bailleux & Boudet 2003) — a unary counting tree whose
-  output literals can be re-bounded later, which the MaxSAT engine uses
-  for incremental cost tightening.
+  output literals can be re-bounded later, so a bound can be tightened
+  incrementally without re-encoding.
 
 All functions take a ``new_var`` callable that allocates fresh solver
 variables, and return a list of clauses over DIMACS-style int literals.
@@ -82,8 +82,7 @@ class Totalizer:
         collect.extend(tot.at_most(5))   # now
         collect.extend(tot.at_most(3))   # tightened later
 
-    which is how the MaxSAT engine performs cost descent without
-    re-encoding.
+    which tightens a bound without re-encoding.
     """
 
     def __init__(

@@ -10,7 +10,8 @@ Negative weights are normalized away by the identity
 ``w*x == w - w*(1-x)``, and equalities split into two inequalities.
 
 The reasoning engine uses this for resource budgets (cores, SmartNIC
-capacity, power, cost) and the MaxSAT layer for objective bounds.
+capacity, power, cost) and the optimizer (``repro.opt``) for objective
+bounds.
 """
 
 from __future__ import annotations
@@ -76,7 +77,8 @@ class GeneralizedTotalizer:
     true-literal weights sum to at least ``v``. Sums above the saturation
     cap all map to the cap value, so asserting the cap's negation encodes
     ``sum <= cap - 1``. Bounds can be tightened incrementally by asserting
-    negations of larger values first — the MaxSAT engine relies on this.
+    negations of larger values first — the optimizer's descent relies on
+    this.
     """
 
     def __init__(

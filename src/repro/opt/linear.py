@@ -10,21 +10,11 @@ optimum is found in ``O(log range)`` solver calls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.obs.trace import NULL_TRACER, Tracer
+from repro.opt.descent import Model, descend
 from repro.smt.encoder import IntEncoder
 from repro.smt.intervals import bounds_of
 from repro.smt.terms import LinExpr
-
-
-@dataclass
-class LinearMinimum:
-    """Outcome of :func:`minimize_linexpr`."""
-
-    value: int
-    model: dict[int, bool]
-    iterations: int
 
 
 def expr_value(
@@ -38,55 +28,28 @@ def minimize_linexpr(
     solver,
     encoder: IntEncoder,
     expr: LinExpr,
-    freeze: bool = True,
+    model: Model,
+    base: list[int],
     tolerance: int = 0,
     tracer: Tracer | None = None,
-    assumptions: list[int] | None = None,
     freeze_lit: int | None = None,
-) -> LinearMinimum | None:
-    """Minimize *expr* over the solver's current (hard) formula.
+) -> tuple[Model, int, int]:
+    """Minimize *expr* from the incumbent *model* under assumptions *base*.
 
-    Returns None when the formula is unsatisfiable. With *freeze*, the
-    found bound is asserted as a hard upper bound afterwards, so
-    subsequent (lower-priority) objectives cannot degrade it.
-
-    *tolerance* stops the bisection once the optimality gap is that
-    small — the probes closest to the true optimum are the hardest
-    UNSAT instances, and rules-of-thumb reasoning rarely needs
-    dollar-exact answers.
-
-    With *assumptions*, every solve (including probes) runs under those
-    assumption literals; with *freeze_lit*, freeze clauses are emitted as
-    ``freeze_lit -> bound`` so an incremental session can retire them by
-    dropping the activation literal instead of mutating the formula.
-
-    With a *tracer*, the whole descent is timed under a ``bisect`` span.
+    Returns ``(model, value, probes)`` from :func:`~repro.opt.descent.descend`;
+    the found bound stays asserted afterwards (behind *freeze_lit* when
+    given), so lower-priority objectives cannot degrade it. With a
+    *tracer*, the descent is timed under a ``bisect`` span.
     """
     tracer = tracer if tracer is not None else NULL_TRACER
-    base = list(assumptions) if assumptions else []
     with tracer.span("bisect"):
-        if not solver.solve(base):
-            return None
-        model = solver.model()
-        hi = expr_value(expr, encoder, model)
-        lo = bounds_of(expr).lo
-        iterations = 1
-        while lo + tolerance < hi:
-            mid = lo + (hi - lo) // 2
-            probe = encoder.reify(expr <= mid)
-            iterations += 1
-            if solver.solve(base + [probe]):
-                model = solver.model()
-                hi = expr_value(expr, encoder, model)
-            else:
-                lo = mid + 1
-        if freeze:
-            bound = encoder.reify(expr <= hi)
-            if freeze_lit is None:
-                solver.add_clause([bound])
-            else:
-                solver.add_clause([-freeze_lit, bound])
-            satisfiable = solver.solve(base)
-            assert satisfiable, "frozen optimum must remain satisfiable"
-            model = solver.model()
-    return LinearMinimum(value=hi, model=model, iterations=iterations)
+        return descend(
+            solver,
+            base,
+            model,
+            cost=lambda m: expr_value(expr, encoder, m),
+            at_most=lambda k: [encoder.reify(expr <= k)],
+            lo=bounds_of(expr).lo,
+            tolerance=tolerance,
+            freeze_lit=freeze_lit,
+        )

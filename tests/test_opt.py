@@ -1,4 +1,5 @@
-"""Tests for MaxSAT, lexicographic, linear minimization, and enumeration."""
+"""Tests for the descent driver (weighted MaxSAT, lexicographic and linear
+minimization) and for model enumeration."""
 
 from __future__ import annotations
 
@@ -7,12 +8,11 @@ import random
 
 import pytest
 
-from repro.errors import SolverStateError
 from repro.logic.pseudo_boolean import PBTerm
 from repro.opt import (
     LexObjective,
-    MaxSatSolver,
     count_models,
+    descend,
     enumerate_models,
     equivalence_classes,
     lexicographic_optimize,
@@ -39,21 +39,51 @@ def _brute_min_cost(n, hard, soft):
     return best
 
 
-class TestMaxSat:
-    @pytest.mark.parametrize("strategy", ["linear", "binary"])
-    def test_simple_tradeoff(self, strategy):
-        m = MaxSatSolver()
-        a, b = m.solver.new_vars(2)
-        m.add_hard([a, b])
-        m.add_soft([-a], weight=1, label="not-a")
-        m.add_soft([-b], weight=3, label="not-b")
-        result = m.solve(strategy)
-        assert result.satisfiable
-        assert result.cost == 1
-        assert result.violated == ["not-a"]
+def _soft_objective(solver, soft):
+    """Relax each ``(clause, weight)`` with a fresh literal; charge its weight."""
+    terms = []
+    for lits, weight in soft:
+        relax = solver.new_var()
+        solver.add_clause(list(lits) + [relax])
+        terms.append(PBTerm(weight, relax))
+    return LexObjective("violations", terms)
 
-    @pytest.mark.parametrize("strategy", ["linear", "binary"])
-    def test_matches_brute_force(self, strategy):
+
+class TestMaxSat:
+    """Weighted partial MaxSAT through the driver: each soft clause gets a
+    relaxation literal, and the weighted sum of those is minimized."""
+
+    @pytest.mark.parametrize("route", ["linear", "binary"])
+    def test_simple_tradeoff(self, route):
+        # a or b; violating "not a" costs 1, violating "not b" costs 3.
+        # "linear": the cost as a linear integer expression over 0/1
+        # variables, through minimize_linexpr's bit-vector comparators.
+        # "binary": relaxation literals, bisected on the totalizer outputs.
+        s = Solver()
+        if route == "linear":
+            encoder = IntEncoder(s)
+            x, y = IntVar("a", 0, 1), IntVar("b", 0, 1)
+            encoder.assert_constraint((x + y) >= 1)
+            assert s.solve()
+            model, cost, _ = minimize_linexpr(
+                s, encoder, 1 * x + 3 * y, s.model(), []
+            )
+            values = encoder.values(model)
+            chosen = (values[x] == 1, values[y] == 1)
+        else:
+            a, b = s.new_vars(2)
+            s.add_clause([a, b])
+            objective = _soft_objective(s, [([-a], 1), ([-b], 3)])
+            assert s.solve()
+            model, cost, _ = lexicographic_optimize(
+                s, objective, s.model(), []
+            )
+            chosen = (model[a], model[b])
+        assert cost == 1
+        assert chosen == (True, False)  # only "not a" is violated
+
+    @pytest.mark.parametrize("guarded", [False, True], ids=["hard", "guarded"])
+    def test_matches_brute_force(self, guarded):
         rng = random.Random(77)
         for _ in range(60):
             n = rng.randint(2, 6)
@@ -63,62 +93,35 @@ class TestMaxSat:
                 for _ in range(rng.randint(1, 5))
             ]
             expected = _brute_min_cost(n, hard, soft)
-            m = MaxSatSolver()
-            m.solver.new_vars(n)
+            s = Solver()
+            s.new_vars(n)
             for clause in hard:
-                m.add_hard(clause)
-            for clause, weight in soft:
-                m.add_soft(clause, weight)
-            result = m.solve(strategy)
-            if expected is None:
-                assert not result.satisfiable
-            else:
-                assert result.cost == expected
-
-    def test_hard_unsat(self):
-        m = MaxSatSolver()
-        a = m.solver.new_var()
-        m.add_hard([a])
-        m.add_hard([-a])
-        m.add_soft([a])
-        assert not m.solve().satisfiable
+                s.add_clause(clause)
+            objective = _soft_objective(s, soft)
+            # Guarded: the session-path shape, bounds behind an
+            # activation literal that every solve assumes.
+            act = s.new_var() if guarded else None
+            base = [act] if guarded else []
+            if not s.solve(base):
+                assert expected is None
+                continue
+            model, cost, _ = lexicographic_optimize(
+                s, objective, s.model(), base, freeze_lit=act
+            )
+            assert cost == expected
+            assert objective.cost(model) == expected
+            # The optimum stays frozen for later objectives.
+            assert s.solve(base)
+            assert objective.cost(s.model()) == expected
 
     def test_zero_cost_optimum(self):
-        m = MaxSatSolver()
-        a = m.solver.new_var()
-        m.add_soft([a], weight=5)
-        result = m.solve()
-        assert result.cost == 0
-        assert result.violated == []
-
-    def test_frozen_after_solve(self):
-        m = MaxSatSolver()
-        a = m.solver.new_var()
-        m.add_soft([a])
-        m.solve()
-        with pytest.raises(SolverStateError):
-            m.add_hard([a])
-        with pytest.raises(SolverStateError):
-            m.add_soft([-a])
-
-    def test_invalid_weight(self):
-        m = MaxSatSolver()
-        a = m.solver.new_var()
-        with pytest.raises(ValueError):
-            m.add_soft([a], weight=0)
-
-    def test_invalid_strategy(self):
-        m = MaxSatSolver()
-        m.solver.new_var()
-        with pytest.raises(ValueError):
-            m.solve("magic")
-
-    def test_total_weight(self):
-        m = MaxSatSolver()
-        a, b = m.solver.new_vars(2)
-        m.add_soft([a], 2)
-        m.add_soft([b], 3)
-        assert m.total_weight == 5
+        s = Solver()
+        a = s.new_var()
+        objective = _soft_objective(s, [([a], 5)])
+        assert s.solve()
+        model, cost, _ = lexicographic_optimize(s, objective, s.model(), [])
+        assert cost == 0
+        assert model[a]  # the soft clause holds
 
 
 class TestLexicographic:
@@ -128,52 +131,78 @@ class TestLexicographic:
         a, b = s.new_vars(2)
         s.add_clause([a, b])
         s.add_clause([-a, -b])
-        result = lexicographic_optimize(
-            s,
-            [
-                LexObjective("first", [PBTerm(1, a)]),
-                LexObjective("second", [PBTerm(1, b)]),
-            ],
+        assert s.solve()
+        model, first, _ = lexicographic_optimize(
+            s, LexObjective("first", [PBTerm(1, a)]), s.model(), []
         )
-        assert result.optima == {"first": 0, "second": 1}
-        assert result.model[b] is True
+        model, second, _ = lexicographic_optimize(
+            s, LexObjective("second", [PBTerm(1, b)]), model, []
+        )
+        assert (first, second) == (0, 1)
+        assert model[b] is True
 
     def test_zero_cost_objective_frozen(self):
         # Regression: an objective already at 0 must stay at 0.
         s = Solver()
         a, b = s.new_vars(2)
         s.add_clause([a, b])
-        result = lexicographic_optimize(
-            s,
-            [
-                LexObjective("keep_a_off", [PBTerm(5, a)]),
-                LexObjective("keep_b_off", [PBTerm(1, b)]),
-            ],
+        assert s.solve()
+        model, first, _ = lexicographic_optimize(
+            s, LexObjective("keep_a_off", [PBTerm(5, a)]), s.model(), []
         )
-        assert result.optima == {"keep_a_off": 0, "keep_b_off": 1}
-
-    def test_unsat(self):
-        s = Solver()
-        a = s.new_var()
-        s.add_clause([a])
-        s.add_clause([-a])
-        result = lexicographic_optimize(s, [LexObjective("o", [PBTerm(1, a)])])
-        assert not result.satisfiable
+        model, second, _ = lexicographic_optimize(
+            s, LexObjective("keep_b_off", [PBTerm(1, b)]), model, []
+        )
+        assert (first, second) == (0, 1)
 
     def test_negative_weight_rejected(self):
         s = Solver()
         a = s.new_var()
         s.add_clause([a, -a])
+        assert s.solve()
         with pytest.raises(ValueError):
             lexicographic_optimize(
-                s, [LexObjective("bad", [PBTerm(-1, a)])]
+                s, LexObjective("bad", [PBTerm(-1, a)]), s.model(), []
             )
 
     def test_empty_objective(self):
         s = Solver()
         s.new_var()
-        result = lexicographic_optimize(s, [LexObjective("empty", [])])
-        assert result.optima == {"empty": 0}
+        assert s.solve()
+        model = s.model()
+        result = lexicographic_optimize(s, LexObjective("empty", []), model, [])
+        assert result == (model, 0, 0)
+
+
+class TestDescent:
+    def test_no_opening_solve(self):
+        # x has 8 one-hot values; cost is the index of the true one.
+        s = Solver()
+        xs = s.new_vars(8)
+        s.add_clause(xs)
+        for i, j in itertools.combinations(xs, 2):
+            s.add_clause([-i, -j])
+        assert s.solve([xs[7]])
+        calls = []
+        solve = s.solve
+
+        def counting(assumptions=()):
+            calls.append(list(assumptions))
+            return solve(assumptions)
+
+        s.solve = counting
+        model, value, probes = descend(
+            s,
+            [],
+            s.model(),
+            cost=lambda m: next(i for i, x in enumerate(xs) if m[x]),
+            at_most=lambda k: [-x for x in xs[k + 1:]],
+            lo=0,
+        )
+        assert value == 0 and model[xs[0]]
+        assert probes == 3  # bisection over [0, 7]
+        assert len(calls) == probes + 1  # probes, then one frozen solve
+        assert calls[-1] == []
 
 
 class TestLinearMin:
@@ -183,44 +212,42 @@ class TestLinearMin:
         x = IntVar("x", 0, 100)
         y = IntVar("y", 0, 100)
         encoder.assert_constraint((x + y) >= 30)
-        result = minimize_linexpr(s, encoder, 2 * x + 3 * y)
-        assert result is not None
-        assert result.value == 60  # all weight on the cheap variable
-        values = encoder.values(result.model)
+        assert s.solve()
+        model, value, _ = minimize_linexpr(
+            s, encoder, 2 * x + 3 * y, s.model(), []
+        )
+        assert value == 60  # all weight on the cheap variable
+        values = encoder.values(model)
         assert values[x] == 30 and values[y] == 0
-
-    def test_minimize_unsat(self):
-        s = Solver()
-        encoder = IntEncoder(s)
-        x = IntVar("x", 0, 5)
-        encoder.assert_constraint(x >= 10)
-        assert minimize_linexpr(s, encoder, 1 * x) is None
 
     def test_freeze_persists(self):
         s = Solver()
         encoder = IntEncoder(s)
         x = IntVar("x", 0, 50)
         encoder.assert_constraint(x >= 7)
-        result = minimize_linexpr(s, encoder, 1 * x, freeze=True)
-        assert result.value == 7
+        assert s.solve()
+        _, value, _ = minimize_linexpr(s, encoder, 1 * x, s.model(), [])
+        assert value == 7
         # After freezing, larger values are unreachable.
         probe = encoder.reify(x >= 8)
         assert not s.solve([probe])
 
     def test_tolerance_stops_early(self):
-        s = Solver()
-        encoder = IntEncoder(s)
-        x = IntVar("x", 0, 1000)
-        encoder.assert_constraint(x >= 100)
-        exact = minimize_linexpr(s, encoder, 1 * x, freeze=False)
-        s2 = Solver()
-        e2 = IntEncoder(s2)
-        y = IntVar("y", 0, 1000)
-        e2.assert_constraint(y >= 100)
-        loose = minimize_linexpr(s2, e2, 1 * y, freeze=False, tolerance=50)
-        assert exact.value == 100
-        assert 100 <= loose.value <= 150
-        assert loose.iterations <= exact.iterations
+        def minimize(tolerance):
+            s = Solver()
+            encoder = IntEncoder(s)
+            x = IntVar("x", 0, 1000)
+            encoder.assert_constraint(x >= 100)
+            assert s.solve([encoder.reify(x >= 900)])  # a poor incumbent
+            return minimize_linexpr(
+                s, encoder, 1 * x, s.model(), [], tolerance=tolerance
+            )
+
+        _, exact, exact_probes = minimize(0)
+        _, loose, loose_probes = minimize(50)
+        assert exact == 100
+        assert 100 <= loose <= 150
+        assert loose_probes < exact_probes
 
     def test_expr_value(self):
         s = Solver()

@@ -18,15 +18,21 @@ import random
 
 import pytest
 
+import repro.core.executor as executor_module
 from repro.core.design import DesignRequest
 from repro.core.diagnose import minimize_core
 from repro.core.engine import ReasoningEngine
 from repro.core.executor import QueryExecutor
 from repro.core.query import CACHEABLE_VERBS, Query, VERBS
 from repro.errors import QueryError, UnknownEntityError
+from repro.kb.dsl import sys_var
+from repro.kb.ordering import Ordering
+from repro.kb.rules import Rule
 from repro.kb.workload import Workload
+from repro.logic.ast import Not
 from repro.obs.observer import EngineObserver
 from repro.par.cache import QueryCache
+from repro.sat.solver import Solver
 
 
 def _request(**kwargs) -> DesignRequest:
@@ -231,6 +237,76 @@ class TestExecutorVerbs:
             "forbidden:StackB", "required:StackB"
         ]
         assert results[2] is None
+
+
+# ---------------------------------------------------------------------------
+# Synthesize: one descent per objective, no solve re-finds a model in hand
+# ---------------------------------------------------------------------------
+
+
+class TestSynthesizeSolveSequence:
+    @pytest.fixture
+    def rich_kb(self, tiny_kb):
+        tiny_kb.add_ordering(Ordering("StackB", "StackA", "latency"))
+        tiny_kb.add_rule(Rule(
+            name="avoid_stack_a",
+            formula=Not(sys_var("StackA")),
+            severity="soft",
+            weight=3,
+        ))
+        return tiny_kb
+
+    @pytest.mark.parametrize(
+        "incremental", [True, False], ids=["session", "fresh"]
+    )
+    def test_descents_thread_the_model(self, rich_kb, incremental,
+                                       monkeypatch):
+        events = []
+        solve, add_clause = Solver.solve, Solver.add_clause
+
+        def spy_solve(self, assumptions=()):
+            satisfiable = solve(self, assumptions)
+            events.append((tuple(assumptions), satisfiable))
+            return satisfiable
+
+        def spy_add_clause(self, lits):
+            events.append(None)
+            return add_clause(self, lits)
+
+        monkeypatch.setattr(Solver, "solve", spy_solve)
+        monkeypatch.setattr(Solver, "add_clause", spy_add_clause)
+        descents = []  # (objective, probes), one per entry call
+
+        def spy(entry, objective_name):
+            def wrapped(*args, **kwargs):
+                model, value, probes = entry(*args, **kwargs)
+                descents.append((objective_name(*args), probes))
+                return model, value, probes
+            monkeypatch.setattr(executor_module, entry.__name__, wrapped)
+
+        spy(executor_module.minimize_linexpr, lambda *args: "cost")
+        spy(executor_module.lexicographic_optimize,
+            lambda solver, objective, *rest: objective.name)
+        engine = ReasoningEngine(rich_kb, incremental=incremental)
+        outcome = engine.synthesize(
+            _request(optimize=["latency", "capex_usd"])
+        )
+        assert outcome.feasible
+        assert [name for name, _ in descents] == [
+            "latency", "cost", "soft_rules", "parsimony"
+        ]
+        solves = [event for event in events if event is not None]
+        previous = None  # assumptions of the last SAT solve, if no clause since
+        for event in events:
+            if event is None:
+                previous = None
+                continue
+            assumptions, satisfiable = event
+            assert assumptions != previous, "solve re-finds the model in hand"
+            previous = assumptions if satisfiable else None
+        # One feasibility solve, then each descent's probes and its one
+        # post-freeze solve (every objective here has terms).
+        assert len(solves) == 1 + sum(probes + 1 for _, probes in descents)
 
 
 # ---------------------------------------------------------------------------
