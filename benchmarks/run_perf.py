@@ -777,7 +777,6 @@ def run_kb_delta(quick: bool) -> dict:
     assert cache_stats["hits"] >= rounds, (
         "scoped cache keys must survive disjoint deltas"
     )
-    assert cache_stats["invalidations"] == 0
 
     speedup = recompile_s / delta_s if delta_s > 0 else float("inf")
     return {

@@ -113,8 +113,9 @@ def _load_requests(paths: list[str]):
 def _cmd_plan(args: argparse.Namespace) -> int:
     """Synthesize designs for JSON request file(s) and print the reports.
 
-    Several request files form one batch: cached results are answered
-    instantly and the remaining queries fan out over ``--jobs`` workers.
+    Several request files form one batch on one engine: repeated
+    requests are answered from the cache and the rest share one warm
+    session.
     """
     from repro.core.engine import ReasoningEngine
     from repro.core.report import render_report
@@ -131,8 +132,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         from repro.par import QueryCache
 
         cache = QueryCache()
-    engine = ReasoningEngine(kb, observer=observer, cache=cache,
-                             jobs=args.jobs)
+    engine = ReasoningEngine(kb, observer=observer, cache=cache)
     if len(requests) == 1:
         outcomes = [engine.synthesize(requests[0])]
     else:
@@ -339,10 +339,11 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     Sheets become checker-gated ``upsert`` delta ops
     (:func:`~repro.extraction.specsheet.spec_sheet_to_delta_op`). With
     ``--url`` the batch is sent to a live daemon as one ``PUT /kb`` (the
-    serving layer absorbs it as a delta — warm sessions rebase, caches
-    invalidate by footprint); with ``--kb-store`` it is applied offline
-    to a sqlite-backed KB. The hardware kind is read from the filename
-    prefix (``switch__*.txt``, ``nic__*.txt``, ``server__*.txt``) unless
+    serving layer absorbs it as a delta — warm sessions absorb it on
+    their next query, cache entries it touches stop being addressable);
+    with ``--kb-store`` it is applied offline to a sqlite-backed KB.
+    The hardware kind is read from the filename prefix
+    (``switch__*.txt``, ``nic__*.txt``, ``server__*.txt``) unless
     ``--kind`` forces one.
     """
     import pathlib
@@ -506,8 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="append per-system justifications")
     plan.add_argument("--profile", action="store_true",
                       help="print a phase-time and solver-progress profile")
-    plan.add_argument("--jobs", type=int, default=1, metavar="N",
-                      help="worker processes for batch requests (default 1)")
     plan.add_argument("--no-cache", action="store_true",
                       help="disable the query-result cache")
     plan.set_defaults(func=_cmd_plan)

@@ -74,7 +74,6 @@ class ReasoningEngine:
         validate: bool = True,
         observer: EngineObserver | None = None,
         cache: QueryCache | None = None,
-        jobs: int = 1,
         incremental: bool = True,
         preprocess: bool = True,
     ):
@@ -84,12 +83,11 @@ class ReasoningEngine:
         #: The unified pipeline every verb dispatches through. Result
         #: caching (keys cover the KB fingerprint, so registry mutations
         #: invalidate prior entries), the shared incremental session,
-        #: batch fan-out, and per-stage observability all live here.
+        #: batch de-duplication, and per-stage observability all live here.
         self.executor = QueryExecutor(
             kb,
             observer=observer,
             cache=cache,
-            jobs=jobs,
             incremental=incremental,
             preprocess=preprocess,
         )
@@ -179,8 +177,7 @@ class ReasoningEngine:
         constraint groups), and with a cache both outcomes are memoized.
         """
         outcomes = self.executor.execute_many(
-            [Query("synthesize", baseline), Query("synthesize", alternative)],
-            jobs=1,
+            [Query("synthesize", baseline), Query("synthesize", alternative)]
         )
         return ComparisonResult(baseline=outcomes[0], alternative=outcomes[1])
 
@@ -189,26 +186,23 @@ class ReasoningEngine:
     def check_many(
         self,
         requests: Sequence[DesignRequest],
-        jobs: int | None = None,
         deploy: list[str] | None = None,
     ) -> list[DesignOutcome]:
-        """Run :meth:`check` on every request, fanning misses over workers."""
+        """Run :meth:`check` on every request (see ``execute_many``)."""
         if deploy is not None:
             requests = [
                 _with_exact_systems(r, deploy, self.kb) for r in requests
             ]
         return self.executor.execute_many(
-            [Query("check", r) for r in requests], jobs
+            [Query("check", r) for r in requests]
         )
 
     def synthesize_many(
-        self,
-        requests: Sequence[DesignRequest],
-        jobs: int | None = None,
+        self, requests: Sequence[DesignRequest]
     ) -> list[DesignOutcome]:
-        """Run :meth:`synthesize` on every request, fanning misses over workers."""
+        """Run :meth:`synthesize` on every request (see ``execute_many``)."""
         return self.executor.execute_many(
-            [Query("synthesize", r) for r in requests], jobs
+            [Query("synthesize", r) for r in requests]
         )
 
 

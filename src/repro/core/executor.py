@@ -68,7 +68,6 @@ class QueryExecutor:
         kb: KnowledgeBase,
         observer: EngineObserver | None = None,
         cache: QueryCache | None = None,
-        jobs: int = 1,
         incremental: bool = True,
         preprocess: bool = True,
         session=None,
@@ -82,7 +81,6 @@ class QueryExecutor:
             and observer is not None
         ):
             cache.metrics = observer.metrics
-        self.jobs = max(1, jobs)
         self.incremental = incremental
         self.preprocess = preprocess
         self._session = session
@@ -174,9 +172,7 @@ class QueryExecutor:
     def _scope(self, request: DesignRequest) -> frozenset:
         """The request's KB entity footprint (memoized on the request).
 
-        Scoped cache keys survive KB deltas disjoint from the footprint,
-        and double as the entry's footprint for eager delta invalidation
-        (:meth:`~repro.par.cache.QueryCache.invalidate_entities`).
+        Scoped cache keys survive KB deltas disjoint from the footprint.
         """
         return request_entity_scope(self.kb, request)
 
@@ -196,11 +192,9 @@ class QueryExecutor:
             self._record(verb, None)
             return text
         if self.cache is not None and verb in CACHEABLE_VERBS:
-            scope = self._scope(query.request)
-            key = self._query_key(query, scope)
+            key = self._query_key(query, self._scope(query.request))
         else:
             key = None
-            scope = None
         if key is not None:
             observer = self.observer
             if observer is not None and observer.enabled:
@@ -213,23 +207,17 @@ class QueryExecutor:
                 return cached
         result = self._execute_miss(query)
         if key is not None:
-            self.cache.put(key, result, footprint=scope)
+            self.cache.put(key, result)
         return result
 
-    def execute_many(
-        self,
-        queries: Sequence[Query],
-        jobs: int | None = None,
-    ) -> list:
-        """Answer every query, fanning cache misses over workers.
+    def execute_many(self, queries: Sequence[Query]) -> list:
+        """Answer every query in order on this executor.
 
         Hits are answered inline; duplicate queries (same cache key) are
-        computed once and fanned back to every position that asked. With
-        one worker the misses run on the shared incremental session;
-        with more they go to a :func:`repro.par.batch.run_query_batch`
-        process pool. Results return in input order.
+        computed once and fanned back to every position that asked.
+        Misses run in input order on the shared incremental session (or
+        a fresh compile each without one).
         """
-        jobs = self.jobs if jobs is None else max(1, jobs)
         results: list = [None] * len(queries)
         pending_keys: list[str | None] = []
         pending: list[Query] = []
@@ -252,24 +240,12 @@ class QueryExecutor:
             pending_keys.append(key)
             pending.append(query)
             pending_idx.append([i])
-        if pending:
-            if jobs == 1:
-                computed = [self._execute_miss(q) for q in pending]
-            else:
-                from repro.par.batch import run_query_batch
-
-                computed = run_query_batch(self.kb, pending, jobs)
-                for query in pending:
-                    self._record(query.verb, None)
-            for slot, result in enumerate(computed):
-                if pending_keys[slot] is not None:
-                    self.cache.put(
-                        pending_keys[slot],
-                        result,
-                        footprint=self._scope(pending[slot].request),
-                    )
-                for i in pending_idx[slot]:
-                    results[i] = result
+        for slot, query in enumerate(pending):
+            result = self._execute_miss(query)
+            if pending_keys[slot] is not None:
+                self.cache.put(pending_keys[slot], result)
+            for i in pending_idx[slot]:
+                results[i] = result
         return results
 
     def _execute_miss(self, query: Query):

@@ -175,7 +175,7 @@ class ReasoningSession:
     def check_many(self, requests) -> list[DesignOutcome]:
         """Answer a sweep of feasibility queries on the shared solver."""
         return self._executor.execute_many(
-            [Query("check", r) for r in requests], jobs=1
+            [Query("check", r) for r in requests]
         )
 
     def synthesize(self, request: DesignRequest) -> DesignOutcome:

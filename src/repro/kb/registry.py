@@ -330,23 +330,21 @@ class KnowledgeBase:
         """Make mutations write-through to *store*.
 
         With ``snapshot=True`` (the default) the KB's current contents
-        are first appended as upsert facts, so an empty store becomes a
-        faithful log of this KB.
+        are first appended as upsert facts in one all-or-none write, so
+        an empty store becomes a faithful log of this KB.
         """
         if snapshot:
-            for system in self.systems.values():
-                store.append("upsert", "system", system.name, system.to_dict())
-            for hardware in self.hardware.values():
-                store.append(
-                    "upsert", "hardware", hardware.model, hardware.to_dict()
-                )
-            for rule in self.rules.values():
-                store.append("upsert", "rule", rule.name, rule.to_dict())
-            for ordering in self.orderings:
-                store.append(
-                    "add_ordering", "ordering", ordering.dimension,
-                    ordering_to_dict(ordering),
-                )
+            store.extend([
+                *(("upsert", "system", system.name, system.to_dict())
+                  for system in self.systems.values()),
+                *(("upsert", "hardware", hardware.model, hardware.to_dict())
+                  for hardware in self.hardware.values()),
+                *(("upsert", "rule", rule.name, rule.to_dict())
+                  for rule in self.rules.values()),
+                *(("add_ordering", "ordering", ordering.dimension,
+                   ordering_to_dict(ordering))
+                  for ordering in self.orderings),
+            ])
         self._store = store
 
     def detach_store(self) -> "FactStore | None":

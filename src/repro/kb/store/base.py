@@ -12,7 +12,8 @@ entity's ``to_dict()`` serialization (or ``None`` for removals).
 
 Backends only need to persist and replay that sequence — the registry
 (:class:`~repro.kb.registry.KnowledgeBase`) owns the semantics. A store
-attached to a KB receives one fact per mutation (write-through);
+attached to a KB receives one fact per mutation (write-through), and a
+daemon ``PUT /kb`` appends its whole delta with one :meth:`FactStore.extend`;
 :meth:`KnowledgeBase.from_store` rebuilds a KB by replaying the log.
 
 Sequence numbers start at 1 and are assigned by the store. ``scan``
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 #: Mutation verbs a store may be asked to persist.
 FACT_OPS = ("upsert", "remove", "add_ordering", "remove_ordering",
@@ -56,10 +57,16 @@ class Fact:
 class FactStore(abc.ABC):
     """Append-only persistence for KB facts."""
 
-    @abc.abstractmethod
     def append(self, op: str, kind: str, name: str,
                payload: Any = None) -> Fact:
         """Durably append one fact; returns it with its assigned seq."""
+        return self.extend([(op, kind, name, payload)])[0]
+
+    @abc.abstractmethod
+    def extend(self, facts: Iterable[tuple]) -> list[Fact]:
+        """Durably append ``(op, kind, name, payload)`` records, all or
+        none: on failure the log is left as it was. Returns the facts
+        with their assigned seqs."""
 
     @abc.abstractmethod
     def scan(self, after: int = 0, upto: int | None = None) -> Iterator[Fact]:

@@ -8,7 +8,7 @@ tested against.
 from __future__ import annotations
 
 import threading
-from typing import Any, Iterator
+from typing import Iterable, Iterator
 
 from repro.kb.store.base import Fact, FactStore, validate_fact
 
@@ -20,19 +20,23 @@ class MemoryFactStore(FactStore):
         self._facts: list[Fact] = []
         self._lock = threading.Lock()
 
-    def append(self, op: str, kind: str, name: str,
-               payload: Any = None) -> Fact:
-        validate_fact(op, kind, name)
+    def extend(self, facts: Iterable[tuple]) -> list[Fact]:
+        records = list(facts)
+        for op, kind, name, _payload in records:
+            validate_fact(op, kind, name)
         with self._lock:
-            fact = Fact(len(self._facts) + 1, op, kind, name, payload)
-            self._facts.append(fact)
-            return fact
+            start = len(self._facts) + 1
+            added = [Fact(start + i, *record)
+                     for i, record in enumerate(records)]
+            self._facts.extend(added)
+            return added
 
     def scan(self, after: int = 0, upto: int | None = None) -> Iterator[Fact]:
         with self._lock:
             bound = len(self._facts) if upto is None else min(upto, len(self._facts))
             window = self._facts[max(after, 0):bound]
-        yield from window
+        # Not a generator: the window is taken at call time.
+        return iter(window)
 
     @property
     def latest_seq(self) -> int:

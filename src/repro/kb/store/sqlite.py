@@ -2,9 +2,10 @@
 
 One table, one row per fact, WAL journaling so concurrent readers (other
 connections to the same file) never block the single writer. Every
-append commits — a process crash loses at most the fact being written,
-never corrupts the log, and a reopen resumes from the last committed
-seq (the "reopen mid-log" recovery path the tests pin).
+:meth:`~SqliteFactStore.extend` is one transaction — a failed or crashed
+write leaves none of its facts behind, never corrupts the log, and a
+reopen resumes from the last committed seq (the "reopen mid-log"
+recovery path the tests pin).
 
 Snapshot isolation for readers comes from :meth:`scan` materializing its
 row window up front under the seq bound captured at call time: facts
@@ -16,7 +17,7 @@ from __future__ import annotations
 import json
 import sqlite3
 import threading
-from typing import Any, Iterator
+from typing import Iterable, Iterator
 
 from repro.kb.store.base import Fact, FactStore, validate_fact
 
@@ -46,19 +47,26 @@ class SqliteFactStore(FactStore):
             self._conn.execute(_SCHEMA)
             self._conn.commit()
 
-    def append(self, op: str, kind: str, name: str,
-               payload: Any = None) -> Fact:
-        validate_fact(op, kind, name)
-        blob = None if payload is None else json.dumps(
-            payload, sort_keys=True, separators=(",", ":")
-        )
-        with self._lock:
-            cur = self._conn.execute(
-                "INSERT INTO facts (op, kind, name, payload) VALUES (?,?,?,?)",
-                (op, kind, name, blob),
-            )
-            self._conn.commit()
-            return Fact(cur.lastrowid, op, kind, name, payload)
+    def extend(self, facts: Iterable[tuple]) -> list[Fact]:
+        records = list(facts)
+        for op, kind, name, _payload in records:
+            validate_fact(op, kind, name)
+        rows = [
+            (op, kind, name, None if payload is None else json.dumps(
+                payload, sort_keys=True, separators=(",", ":")
+            ))
+            for op, kind, name, payload in records
+        ]
+        # The connection as a context manager commits the transaction on
+        # success and rolls every insert back on any exception.
+        with self._lock, self._conn:
+            return [
+                Fact(self._conn.execute(
+                    "INSERT INTO facts (op, kind, name, payload) "
+                    "VALUES (?,?,?,?)", row,
+                ).lastrowid, *record)
+                for row, record in zip(rows, records)
+            ]
 
     def scan(self, after: int = 0, upto: int | None = None) -> Iterator[Fact]:
         bound = self.latest_seq if upto is None else upto
@@ -68,9 +76,12 @@ class SqliteFactStore(FactStore):
                 "WHERE seq > ? AND seq <= ? ORDER BY seq",
                 (after, bound),
             ).fetchall()
-        for seq, op, kind, name, blob in rows:
-            payload = None if blob is None else json.loads(blob)
-            yield Fact(seq, op, kind, name, payload)
+        # Not a generator: the bound and the rows are read at call time.
+        return iter([
+            Fact(seq, op, kind, name,
+                 None if blob is None else json.loads(blob))
+            for seq, op, kind, name, blob in rows
+        ])
 
     @property
     def latest_seq(self) -> int:

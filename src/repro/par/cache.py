@@ -1,13 +1,13 @@
 """Query-result caching for the solving service.
 
 Engine-level results (:class:`~repro.core.design.DesignOutcome`) are
-keyed by :func:`request_cache_key` over the knowledge-base fingerprint,
-the query verb, and the canonical request serialization. Compilation is
-deterministic, so this is equivalent to hashing the compiled CNF +
-assumptions while also skipping the compile on a hit. Any KB mutation
-(``add_system`` / ``add_hardware`` / ``add_rule`` / ``add_ordering`` /
-``merge``) changes the fingerprint, so stale entries can never be
-served — they simply stop being addressable and age out of the LRU.
+keyed by :func:`request_cache_key` over the knowledge-base fingerprint
+(scoped to the request's entities), the query verb, and the canonical
+request serialization. Compilation is deterministic, so this is
+equivalent to hashing the compiled CNF + assumptions while also skipping
+the compile on a hit. A KB mutation that can change the answer changes
+the key, so stale entries can never be served — they simply stop being
+addressable and age out of the LRU. There is no other invalidation.
 
 Hit/miss/eviction counts are kept locally and, when a
 :class:`~repro.obs.MetricsRegistry` is attached, mirrored into it under
@@ -87,11 +87,8 @@ class QueryCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.invalidations = 0
         self._lock = threading.Lock()
         self._data: OrderedDict[str, Any] = OrderedDict()
-        #: key -> entity footprint, for delta invalidation (see ``put``).
-        self._footprints: dict[str, frozenset] = {}
 
     def get(self, key: str, default: Any = None) -> Any:
         """Return the cached value for *key* (marking it fresh) or *default*."""
@@ -108,25 +105,14 @@ class QueryCache:
             self.metrics.incr(f"{self.name}.hits" if hit else f"{self.name}.misses")
         return default if value is _MISS else value
 
-    def put(
-        self, key: str, value: Any, footprint: frozenset | None = None
-    ) -> None:
-        """Insert (or refresh) *key*, evicting LRU entries beyond maxsize.
-
-        *footprint* is the entry's KB entity scope (the keys its answer
-        was derived from); :meth:`invalidate_entities` drops exactly the
-        entries whose footprint intersects a delta. Entries without one
-        are never delta-dropped.
-        """
+    def put(self, key: str, value: Any) -> None:
+        """Insert (or refresh) *key*, evicting LRU entries beyond maxsize."""
         evicted = 0
         with self._lock:
             self._data[key] = value
             self._data.move_to_end(key)
-            if footprint is not None:
-                self._footprints[key] = footprint
             while len(self._data) > self.maxsize:
-                old_key, _ = self._data.popitem(last=False)
-                self._footprints.pop(old_key, None)
+                self._data.popitem(last=False)
                 self.evictions += 1
                 evicted += 1
             size = len(self._data)
@@ -135,38 +121,10 @@ class QueryCache:
                 self.metrics.incr(f"{self.name}.evictions", evicted)
             self.metrics.set_gauge(f"{self.name}.size", size)
 
-    def invalidate_entities(self, changed: frozenset) -> int:
-        """Drop entries whose footprint intersects *changed* entity keys.
-
-        Returns how many entries were dropped. Scoped cache keys already
-        make most stale entries unaddressable; this is the eager path
-        the daemon uses on ``PUT /kb`` so /stats reflects the delta
-        immediately and footprinted entries cannot linger.
-        """
-        changed = frozenset(changed)
-        dropped = 0
-        with self._lock:
-            victims = [
-                key for key, footprint in self._footprints.items()
-                if footprint & changed
-            ]
-            for key in victims:
-                self._data.pop(key, None)
-                del self._footprints[key]
-                dropped += 1
-            self.invalidations += dropped
-            size = len(self._data)
-        if self.metrics is not None:
-            if dropped:
-                self.metrics.incr(f"{self.name}.invalidations", dropped)
-            self.metrics.set_gauge(f"{self.name}.size", size)
-        return dropped
-
     def clear(self) -> None:
         """Drop every entry (explicit invalidation)."""
         with self._lock:
             self._data.clear()
-            self._footprints.clear()
         if self.metrics is not None:
             self.metrics.set_gauge(f"{self.name}.size", 0)
 
@@ -178,7 +136,6 @@ class QueryCache:
                 "hits": self.hits,
                 "misses": self.misses,
                 "evictions": self.evictions,
-                "invalidations": self.invalidations,
             }
 
     def __len__(self) -> int:

@@ -295,16 +295,19 @@ def _conquer_process(
                 )
                 proc.start()
                 running[index] = proc
+            # A worker's result is in the pipe before the worker exits, so
+            # only one that had exited before this read and is still
+            # silent after it died without reporting.
+            exited = [index for index, proc in running.items()
+                      if not proc.is_alive()]
             try:
                 index, satisfiable, model, core, units, stats = results.get(
                     timeout=0.05
                 )
             except queue_mod.Empty:
-                for index, proc in list(running.items()):
-                    if not proc.is_alive():
-                        proc.join()
-                        del running[index]
-                        exhausted = True  # died without reporting
+                for index in exited:
+                    running.pop(index).join()
+                    exhausted = True
                 if not running and not pending:
                     break
                 continue

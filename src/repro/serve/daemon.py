@@ -105,10 +105,13 @@ _HTTP_REASONS = {
 
 #: Summable fields of ``SessionPool.stats_dict()``.
 _POOL_SUM_FIELDS = (
-    "hits", "misses", "evictions", "stale_purged", "rekeyed",
+    "hits", "misses", "evictions", "rekeyed",
     "discarded_poisoned", "discarded_overflow",
     "idle", "in_use", "size", "distinct_keys",
 )
+
+#: ``put_kb`` ops whose fact kind is ``ordering`` whatever their entity.
+_ORDERING_OPS = ("add_ordering", "remove_ordering", "set_orderings")
 
 
 @dataclass
@@ -142,9 +145,9 @@ class DaemonConfig:
     #: byte-for-byte trajectory parity with direct execution that the
     #: differential suite pins). Threaded mode shares one cache across
     #: pooled sessions; process mode gives each worker its own cache of
-    #: this size. Entries carry their request's KB entity footprint, so
-    #: a ``PUT /kb`` delta only invalidates the entries whose footprint
-    #: it intersects.
+    #: this size. Keys hash the request's scoped KB fingerprint, so a
+    #: ``PUT /kb`` delta strands exactly the entries it can change;
+    #: the LRU bound reclaims them.
     cache_size: int = 0
     #: CNF preprocessing for pooled sessions.
     preprocess: bool = True
@@ -501,13 +504,12 @@ class ReasoningDaemon:
         so a malformed or invalidating delta is rejected whole — the
         served KB is never half-mutated. On success the copy (whose
         mutation journal continues the original's, thanks to
-        ``KnowledgeBase.__deepcopy__``) replaces the served instance,
-        the ops are appended to the attached fact store (if any), result
-        caches drop exactly the entries whose footprint the delta
-        touched, and worker processes receive the delta lazily on their
-        next routed request. Pooled sessions survive: checkout re-keys
-        them to the new scoped fingerprints and they absorb the delta in
-        place.
+        ``KnowledgeBase.__deepcopy__``) replaces the served instance
+        once the ops are in the attached fact store (if any), and worker
+        processes receive the delta lazily on their next routed request.
+        Nothing else reacts: pooled sessions keep their keys and absorb
+        the delta in place on their next query, and cache entries the
+        delta can change stop being addressable.
         """
         kb_name, ops = decode_kb_update(envelope)
         async with self._kb_lock:
@@ -522,20 +524,18 @@ class ReasoningDaemon:
             evolved.validate_or_raise()
             store = kb.store
             if store is not None:
+                # One all-or-none write: if it fails, the served KB, its
+                # store and the log stay exactly as they were.
+                store.extend(
+                    (op["op"],
+                     "ordering" if op["op"] in _ORDERING_OPS
+                     else op["entity"],
+                     op["name"], op.get("payload"))
+                    for op in ops
+                )
                 kb.detach_store()
-                for op in ops:
-                    verb = op["op"]
-                    kind = (
-                        "ordering"
-                        if verb in ("add_ordering", "remove_ordering",
-                                    "set_orderings")
-                        else op["entity"]
-                    )
-                    store.append(verb, kind, op["name"], op.get("payload"))
                 evolved.attach_store(store, snapshot=False)
             self.kbs[kb_name] = evolved
-            if self.cache is not None:
-                self.cache.invalidate_entities(changed)
             self.metrics.incr("kb.updates")
             self.metrics.set_gauge(f"kb.version.{kb_name}", evolved.version)
             result = {

@@ -7,18 +7,16 @@ CNF preprocessing) once, then answers each query as a
 across requests and hands each request exclusive access to one of them.
 
 Keying
-    ``(kb_name, kb.scoped_fingerprint(scope), shape_key(request))``
-    where *scope* is the request's KB entity footprint — exactly the
-    state a session is warm for. A KB mutation *outside* a session's
-    scope leaves its key (and its compiled formula) valid, so the
-    session stays addressable; a mutation inside the scope changes the
-    scoped fingerprint, and checkout re-keys the affected idle sessions
-    to the fresh fingerprint instead of discarding them — the session
-    itself absorbs the delta on its next ``view()`` (adopt, guard-group
-    patch, or full rebase; see
-    :meth:`ReasoningSession._absorb_kb_delta`). A request with a
-    different structural shape gets its own session instead of forcing
-    a rebase thrash on a shared one.
+    ``(kb_name, shape_key(request))`` — the structural part of a request
+    a session compiles (see :func:`~repro.core.session.shape_key`). The
+    KB's state is not in the key: the session is the one place that
+    reacts to a KB change. Its ``view()`` compares the KB fingerprint on
+    every query and absorbs a delta in place (adopt, guard-group patch,
+    or full rebase; see :meth:`ReasoningSession._absorb_kb_delta`), so a
+    pooled session stays addressable across ``PUT /kb`` and checkout
+    only rebinds it to the current KB object. A request with a different
+    structural shape gets its own session instead of forcing a rebase
+    thrash on a shared one.
 
 Bounds
     At most ``max_sessions`` *idle* sessions are retained, evicted in
@@ -37,9 +35,8 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.core.compile import request_entity_scope
 from repro.core.executor import QueryExecutor
 from repro.core.query import Query
 from repro.core.session import ReasoningSession, shape_key
@@ -56,9 +53,8 @@ class PoolStats:
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-    stale_purged: int = 0
-    #: Idle sessions re-keyed to a fresh scoped fingerprint after a KB
-    #: delta (kept warm; the session absorbs the delta on next view()).
+    #: Hits that handed out a session last used at an older KB version
+    #: (kept warm; the session absorbs the delta on its next view()).
     rekeyed: int = 0
     discarded_poisoned: int = 0
     discarded_overflow: int = 0
@@ -70,7 +66,6 @@ class PoolStats:
             "misses": self.misses,
             "hit_rate": round(self.hits / total, 4) if total else 0.0,
             "evictions": self.evictions,
-            "stale_purged": self.stale_purged,
             "rekeyed": self.rekeyed,
             "discarded_poisoned": self.discarded_poisoned,
             "discarded_overflow": self.discarded_overflow,
@@ -90,13 +85,9 @@ class PooledSession:
     key: tuple
     session: ReasoningSession
     executor: QueryExecutor
-    #: The request this session was created for — its KB entity scope
-    #: (recomputed against the live KB) drives scoped-fingerprint
-    #: re-keying after KB deltas. A frozen scope would go stale: an
-    #: unpinned request's scope grows when entities are added.
-    request: object = None
+    #: The KB version this session was last checked out at.
+    kb_version: int = 0
     uses: int = 0
-    _generation: int = field(default=0, repr=False)
 
     def execute(self, query: Query):
         self.uses += 1
@@ -137,15 +128,12 @@ class SessionPool:
         self._idle: OrderedDict[tuple, list[PooledSession]] = OrderedDict()
         self._idle_count = 0
         self._in_use = 0
-        self._generation = 0
 
     # -- keying -------------------------------------------------------------------
 
     @staticmethod
-    def key_for(kb_name: str, kb: KnowledgeBase, query: Query) -> tuple:
-        scope = request_entity_scope(kb, query.request)
-        return (kb_name, kb.scoped_fingerprint(scope),
-                shape_key(query.request))
+    def key_for(kb_name: str, query: Query) -> tuple:
+        return (kb_name, shape_key(query.request))
 
     # -- checkout / checkin -------------------------------------------------------
 
@@ -157,9 +145,8 @@ class SessionPool:
         Creation is cheap — the KB compile happens lazily inside the
         first ``execute`` — so this is safe to call from the event loop.
         """
-        key = self.key_for(kb_name, kb, query)
+        key = self.key_for(kb_name, query)
         with self._lock:
-            self._refresh_stale_locked(kb_name, kb)
             bucket = self._idle.get(key)
             if bucket:
                 pooled = bucket.pop()
@@ -168,11 +155,14 @@ class SessionPool:
                 self._idle_count -= 1
                 self._in_use += 1
                 self.stats.hits += 1
+                if pooled.kb_version != kb.version:
+                    self.stats.rekeyed += 1
+                    pooled.kb_version = kb.version
+                if pooled.session.kb is not kb:
+                    pooled.rebind(kb)
                 return pooled
             self.stats.misses += 1
             self._in_use += 1
-            self._generation += 1
-            generation = self._generation
         session = ReasoningSession(
             kb,
             preprocess=self.preprocess,
@@ -189,8 +179,7 @@ class SessionPool:
         )
         return PooledSession(
             key=key, session=session, executor=executor,
-            request=query.request,
-            _generation=generation,
+            kb_version=kb.version,
         )
 
     def checkin(self, pooled: PooledSession) -> None:
@@ -198,11 +187,9 @@ class SessionPool:
         pool evicts its *oldest* idle session to make room.
 
         Evicting the LRU entry (rather than discarding the returning
-        session) matters under KB-fingerprint churn: after a KB
-        mutation, every idle session keyed on the old fingerprint can
-        never be checked out again. Dropping the incoming (current-
-        fingerprint) session instead would let those stale sessions
-        squat in the pool forever and drive the hit rate to zero.
+        session) matters under shape churn: dropping the incoming
+        session instead would let shapes nobody asks for any more squat
+        in the pool forever and drive the hit rate to zero.
         """
         with self._lock:
             self._in_use -= 1
@@ -226,39 +213,6 @@ class SessionPool:
                 del self._idle[key]
             self._idle_count -= 1
             self.stats.evictions += 1
-
-    def _refresh_stale_locked(self, kb_name: str, kb: KnowledgeBase) -> None:
-        """Re-key idle sessions of *kb_name* whose scoped fingerprint
-        the KB delta changed, and rebind every bucket to the current KB
-        object (copy-on-write updates swap it).
-
-        Sessions are *kept*, not purged: a re-keyed session absorbs the
-        delta on its next ``view()`` — adopting the new fingerprint for
-        free when the delta missed its compiled scope, patching just the
-        dirty guard groups when it touched only patchable entity kinds,
-        and paying a full rebase only in the worst case. Sessions
-        without a scope (legacy callers) fall back to the global
-        fingerprint, which re-keys them on *every* KB change.
-        """
-        for key in [k for k in self._idle if k[0] == kb_name]:
-            bucket = self._idle[key]
-            request = bucket[0].request
-            fresh = (
-                kb.scoped_fingerprint(request_entity_scope(kb, request))
-                if request is not None else kb.fingerprint()
-            )
-            if key[1] == fresh:
-                for pooled in bucket:
-                    if pooled.session.kb is not kb:
-                        pooled.rebind(kb)
-                continue
-            del self._idle[key]
-            new_key = (kb_name, fresh, key[2])
-            for pooled in bucket:
-                pooled.key = new_key
-                pooled.rebind(kb)
-            self._idle.setdefault(new_key, []).extend(bucket)
-            self.stats.rekeyed += len(bucket)
 
     # -- introspection ------------------------------------------------------------
 

@@ -28,14 +28,16 @@ Layout::
 Design rules:
 
 1. **Least loaded, in ring order.** Walking a consistent-hash ring
-   clockwise from the session-pool key ``(kb_name, kb_fingerprint,
-   shape)`` gives each key a preference order over the live workers; a
-   request goes to the first worker in that order with the fewest
-   requests in flight. Idle workers mean the ring-preferred worker, so
-   repeat shapes land where they were compiled and warm sessions stay
-   hot. A busy one hands the request to the key's next slot, so a shape
-   is compiled on at most as many workers as it has concurrent requests
-   and no worker idles while another has a queue.
+   clockwise from the session-pool key ``(kb_name, shape)`` gives each
+   key a preference order over the live workers; a request goes to the
+   first worker in that order with the fewest requests in flight. Idle
+   workers mean the ring-preferred worker, so repeat shapes land where
+   they were compiled and warm sessions stay hot. The key holds no KB
+   state, so a ``PUT /kb`` moves no shape off its worker: the worker's
+   session absorbs the delta where it is. A busy worker hands the
+   request to the key's next slot, so a shape is compiled on at most as
+   many workers as it has concurrent requests and no worker idles while
+   another has a queue.
 2. **A dead worker never hangs a client.** The per-worker reader thread
    detects pipe EOF (and the heartbeat monitor detects silent exits);
    every in-flight request on the dead worker fails with a structured
@@ -45,9 +47,9 @@ Design rules:
 3. **Spawn-safe.** Workers are started with the ``spawn`` method: the
    entry point is a top-level function and knowledge bases are shipped
    as their JSON serialization, never pickled live objects. KB mutations
-   in the front-end are re-shipped lazily, keyed by (version,
-   fingerprint): when the front-end KB's mutation journal still covers
-   the version a worker holds, only the changed entities travel as an
+   in the front-end are re-shipped lazily, keyed by KB version: when the
+   front-end KB's mutation journal still covers the version a worker
+   holds, only the changed entities travel as an
    ``apply_delta`` op list instead of the whole KB.
 """
 
@@ -115,9 +117,9 @@ def worker_main(conn, slot: int, kb_blobs: dict, pool_size: int,
     header line followed by the reply's bytes), ``ping`` (heartbeat —
     answered with a full stats snapshot), ``load_kb`` (replace a KB from
     its JSON serialization after a front-end mutation), ``apply_delta``
-    (mutate a KB in place from a front-end delta — warm sessions keyed
-    on unchanged entity scopes survive), ``shutdown``. Exits on pipe EOF
-    so an orphaned worker can never outlive its daemon.
+    (mutate a KB in place from a front-end delta — warm sessions absorb
+    it on their next query), ``shutdown``. Exits on pipe EOF so an
+    orphaned worker can never outlive its daemon.
     """
     kbs = {
         name: KnowledgeBase.from_dict(blob)
@@ -147,17 +149,11 @@ def worker_main(conn, slot: int, kb_blobs: dict, pool_size: int,
                 }))
             elif kind == "load_kb":
                 kbs[msg["name"]] = KnowledgeBase.from_dict(msg["payload"])
-                if cache is not None:
-                    cache.clear()
                 metrics.incr("kb_loads")
             elif kind == "apply_delta":
                 kb = kbs.get(msg["name"])
                 if kb is not None:
-                    changed = kb.apply_entity_delta(
-                        msg["ops"], strict=False
-                    )
-                    if cache is not None:
-                        cache.invalidate_entities(changed)
+                    kb.apply_entity_delta(msg["ops"], strict=False)
                     metrics.incr("kb_deltas")
             elif kind == "exec":
                 envelope = msg["envelope"]
@@ -201,8 +197,8 @@ class _WorkerHandle:
         self.send_q: queue.Queue | None = None
         #: request id -> future resolved with the worker's reply.
         self.pending: dict[int, asyncio.Future] = {}
-        #: kb name -> (version, fingerprint) the worker currently holds.
-        self.shipped: dict[str, tuple[int, str]] = {}
+        #: kb name -> the KB version the worker currently holds.
+        self.shipped: dict[str, int] = {}
         self.restarts = 0
         self.fast_deaths = 0
         self.started_at: float | None = None
@@ -305,10 +301,7 @@ class WorkerSupervisor:
     def _spawn(self, handle: _WorkerHandle) -> None:
         parent_conn, child_conn = self.ctx.Pipe(duplex=True)
         blobs = {name: kb.to_dict() for name, kb in self.kbs.items()}
-        handle.shipped = {
-            name: (kb.version, kb.fingerprint())
-            for name, kb in self.kbs.items()
-        }
+        handle.shipped = {name: kb.version for name, kb in self.kbs.items()}
         process = self.ctx.Process(
             target=worker_main,
             args=(child_conn, handle.slot, blobs, self.config.pool_size,
@@ -491,7 +484,7 @@ class WorkerSupervisor:
         ring.sort()
         return ring
 
-    def route(self, kb_name: str, kb: KnowledgeBase, query) -> _WorkerHandle:
+    def route(self, kb_name: str, query) -> _WorkerHandle:
         """The first live worker in the key's ring order with the fewest
         requests in flight.
 
@@ -499,7 +492,7 @@ class WorkerSupervisor:
         slot, ``route.spill`` those sent anywhere else (it was busy, dead
         or disabled).
         """
-        point = self._hash(repr(SessionPool.key_for(kb_name, kb, query)))
+        point = self._hash(repr(SessionPool.key_for(kb_name, query)))
         order = self._orders[
             bisect.bisect_left(self._ring, (point,)) % len(self._ring)
         ]
@@ -534,15 +527,17 @@ class WorkerSupervisor:
         ``apply_delta`` op list — the worker mutates its KB in place and
         its warm sessions survive. The full JSON serialization is the
         fallback (first ship, journal overflow, or an untracked
-        mutation).
+        mutation). Versions only grow along a served KB's lineage (a
+        ``PUT /kb`` copy continues its original's journal), so the
+        version alone says whether the worker is current; nothing on
+        this path hashes the KB.
         """
-        fingerprint = kb.fingerprint()
         held = handle.shipped.get(kb_name)
-        if held is not None and held[1] == fingerprint:
+        if held == kb.version:
             return
-        handle.shipped[kb_name] = (kb.version, fingerprint)
+        handle.shipped[kb_name] = kb.version
         changed = (
-            kb.changed_entities(held[0]) if held is not None else None
+            kb.changed_entities(held) if held is not None else None
         )
         if changed is not None:
             self.metrics.incr("workers.kb_delta_shipped")
@@ -569,7 +564,7 @@ class WorkerSupervisor:
             # A daemon driven through handle() without start() (in-process
             # harnesses) spins its workers up on first use.
             await self.start()
-        handle = self.route(kb_name, kb, query)
+        handle = self.route(kb_name, query)
         self._ship_kb(handle, kb_name, kb)
         self._rid += 1
         future = self._loop.create_future()

@@ -12,7 +12,7 @@ Three layers of the invalidation architecture:
    patched on the live solver; anything else falls back to a full
    rebase. Whatever level fires, answers must match a fresh compile.
 3. **Differential parity** — randomized mutation+query interleavings:
-   the delta-absorbing session + footprint-invalidated cache must return
+   the delta-absorbing session + scope-keyed result cache must return
    byte-identical canonical result JSON to an always-recompile engine,
    over both the memory and sqlite fact-store backends.
 """
@@ -390,7 +390,7 @@ def _run_plan(kb: KnowledgeBase, *, delta_mode: bool) -> list[bytes]:
     """Execute the interleaving; returns canonical result bytes per query.
 
     *delta_mode* keeps one incremental executor alive across mutations
-    (sessions absorb deltas, the cache invalidates by footprint). The
+    (sessions absorb deltas, cache keys hash the scoped fingerprint). The
     always-recompile reference discards the executor after every
     mutation — the pre-delta invalidation behavior.
     """

@@ -98,6 +98,19 @@ class TestBackendContract:
             store.append("upsert", "system", "")
         assert store.latest_seq == 0
 
+    def test_extend_is_all_or_none(self, store):
+        store.append("upsert", "system", "s0", {})
+        with pytest.raises(ValueError, match="unknown fact kind"):
+            store.extend([("upsert", "system", "s1", {}),
+                          ("upsert", "gadget", "x", None)])
+        assert store.latest_seq == 1
+        added = store.extend([("upsert", "system", "s1", {"i": 1}),
+                              ("remove", "system", "s0", None)])
+        assert [(f.seq, f.op, f.name) for f in added] == [
+            (2, "upsert", "s1"), (3, "remove", "s0"),
+        ]
+        assert list(store.scan(after=1)) == added
+
     def test_kb_snapshot_roundtrips_every_entity_kind(self, store):
         """attach(snapshot) -> from_store reproduces the exact KB."""
         kb = _populated_kb()
@@ -130,9 +143,35 @@ class TestBackendContract:
         names = [first.name] + [f.name for f in scan]
         assert names == ["s0", "s1", "s2"]
         assert store.latest_seq == 4
+        # The bound is taken when scan() is called, not at the first
+        # next(): an append in between is invisible too.
+        unstarted = store.scan()
+        store.append("upsert", "system", "later", {})
+        assert [f.name for f in unstarted] == ["s0", "s1", "s2", "late"]
 
 
 class TestSqliteDurability:
+    def test_failed_extend_rolls_back_every_fact(self, tmp_path):
+        """A write the database refuses halfway leaves no fact behind."""
+        import sqlite3
+
+        path = str(tmp_path / "facts.sqlite")
+        store = SqliteFactStore(path)
+        store.append("upsert", "system", "s0", {})
+        store._conn.execute(
+            "CREATE TRIGGER refuse BEFORE INSERT ON facts "
+            "WHEN NEW.name = 'bad' "
+            "BEGIN SELECT RAISE(ABORT, 'refused'); END"
+        )
+        with pytest.raises(sqlite3.IntegrityError, match="refused"):
+            store.extend([("upsert", "system", "s1", {}),
+                          ("upsert", "system", "bad", {})])
+        assert store.latest_seq == 1
+        assert store.append("upsert", "system", "s1", {}).seq == 2
+        store.close()
+        with SqliteFactStore(path) as reopened:
+            assert [f.name for f in reopened.scan()] == ["s0", "s1"]
+
     def test_reopen_mid_log_resumes_at_committed_seq(self, tmp_path):
         """Crash recovery: every append commits; reopen loses nothing."""
         path = str(tmp_path / "facts.sqlite")

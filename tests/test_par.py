@@ -7,13 +7,15 @@ Covers the contract points the differential suites don't:
 - **cache semantics** — LRU bounds, hit/miss/eviction accounting,
   metrics mirroring, KB-fingerprint invalidation;
 - **batch API** — ``check_many``/``synthesize_many`` agree with the
-  sequential verbs, dedupe identical requests, and survive a real
-  worker pool.
+  sequential verbs and dedupe identical requests.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import queue
 import random
+import time
 
 import pytest
 
@@ -69,6 +71,52 @@ def test_process_mode_verdict_is_deterministic():
         for _ in range(2)
     }
     assert verdicts == {expected}
+
+
+class _LateQueue:
+    """A result queue whose first read times out only once every worker
+    has exited: the race where workers report and exit while the
+    conquer loop's read is timing out."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.stalled = False
+
+    def put(self, item):
+        self.inner.put(item)
+
+    def get(self, timeout=None):
+        if not self.stalled:
+            self.stalled = True
+            deadline = time.monotonic() + 30
+            while (multiprocessing.active_children()
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+            raise queue.Empty
+        return self.inner.get(timeout=timeout)
+
+
+def test_process_mode_reads_results_sent_just_before_exit(monkeypatch):
+    """A worker that reported and then exited during a read that timed
+    out is not counted as dead: its result is read next."""
+    from repro.par import cubes as cubes_mod
+
+    real = cubes_mod._mp_context()
+
+    class _Context:
+        Process = real.Process
+
+        @staticmethod
+        def Queue():
+            return _LateQueue(real.Queue())
+
+    monkeypatch.setattr(cubes_mod, "_mp_context", _Context)
+    # UNSAT, so the verdict needs every cube's report.
+    num_vars, clauses = _hard_instance(1, num_vars=20)
+    assert brute_force_sat(num_vars, clauses) is False
+    result = solve_cubes(num_vars, clauses, k=2, jobs=2, probe_conflicts=0)
+    assert result.mode == "process"
+    assert result.satisfiable is False
 
 
 # -- LRU cache ---------------------------------------------------------------
@@ -228,16 +276,6 @@ def test_batch_dedupes_identical_requests(tiny_kb):
     assert len(outcomes) == 3
     assert len({id(o) for o in outcomes}) == 1, "one computation, fanned out"
     assert observer.metrics.counter("queries.check") == 1
-
-
-def test_batch_with_worker_pool(tiny_kb):
-    from repro.core.engine import ReasoningEngine
-
-    engine = ReasoningEngine(tiny_kb)
-    requests = _requests(tiny_kb)
-    sequential = [o.feasible for o in engine.check_many(requests, jobs=1)]
-    pooled = [o.feasible for o in engine.check_many(requests, jobs=2)]
-    assert pooled == sequential
 
 
 def test_engine_wires_observer_metrics_into_cache(tiny_kb):

@@ -229,8 +229,7 @@ class TestExecutorVerbs:
                 Query("check", _request()),
                 Query("diagnose", bad),
                 Query("diagnose", _request()),
-            ],
-            jobs=1,
+            ]
         )
         assert results[0].feasible
         assert results[1].constraints == [

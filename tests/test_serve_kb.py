@@ -9,11 +9,12 @@ The serving obligations for live catalog growth:
 2. **Byte parity.** KB updates are handled by the daemon front-end in
    both backends, so a mutation+query script must produce byte-identical
    wire payloads in threaded and ``--workers`` modes.
-3. **Warm-path survival.** A delta re-keys pooled sessions (absorbed on
-   next use) and sweeps only footprint-intersecting cache entries —
-   never a full-pool purge.
+3. **Warm-path survival.** A delta keeps pooled sessions under their
+   shape keys (absorbed on next use) and leaves cache entries it cannot
+   change addressable — never a full-pool purge.
 4. **Durability.** With a sqlite-backed KB, deltas applied over the wire
-   survive a daemon restart from the same fact log.
+   survive a daemon restart from the same fact log, and a failed log
+   write leaves the served KB, its store and the log as they were.
 """
 
 from __future__ import annotations
@@ -197,12 +198,14 @@ class TestWarmPathSurvival:
                     make_envelope("check", _request())
                 )["ok"]
             stats = daemon.pool.stats_dict()
-            assert stats["stale_purged"] == 0
             assert stats["evictions"] == 0
             assert stats["misses"] == 1
             assert stats["hits"] == 3
 
-    def test_cache_sweeps_only_intersecting_footprints(self):
+    def test_cache_keys_alone_keep_answers_fresh(self):
+        """Scoped keys are the cache's only invalidation: a disjoint
+        delta keeps hitting, and a delta that flips the verdict strands
+        the old entry (still held, never served) instead of sweeping it."""
         daemon = ReasoningDaemon(
             _kb(), DaemonConfig(port=None, cache_size=32)
         )
@@ -213,25 +216,20 @@ class TestWarmPathSurvival:
             inventory={"NIC": 2, "Box": 2},
         ))
         with InprocDaemon(daemon) as harness:
-            assert harness.query(pinned)["ok"]
+            assert harness.query(pinned)["result"]["feasible"] is True
             # Disjoint hardware: the pinned entry survives and hits.
             assert harness.query(_put([_new_nic_op("Offside")]))["ok"]
-            assert harness.query(pinned)["ok"]
+            assert harness.query(pinned)["result"]["feasible"] is True
             stats = daemon.cache.stats()
-            assert stats["hits"] == 1
-            assert stats["invalidations"] == 0
-            # Overlapping delta: the entry is swept, not served stale.
-            nic = daemon.kbs["default"].hardware["NIC"]
-            payload = nic.to_dict()
-            payload["spec"]["cost_usd"] = 999
-            assert harness.query(_put([{
-                "op": "upsert", "entity": "hardware", "name": "NIC",
-                "payload": payload,
-            }]))["ok"]
-            assert harness.query(pinned)["ok"]
+            assert (stats["hits"], stats["size"]) == (1, 1)
+            # Intersecting delta that flips the verdict: the post-delta
+            # answer comes back, from a fresh key.
+            assert harness.query(_put([_outlaw_op()]))["ok"]
+            assert harness.query(pinned)["result"]["feasible"] is False
             stats = daemon.cache.stats()
-            assert stats["hits"] == 1
-            assert stats["invalidations"] >= 1
+            assert (stats["hits"], stats["size"]) == (1, 2)
+            assert harness.query(pinned)["result"]["feasible"] is False
+            assert daemon.cache.stats()["hits"] == 2
 
 
 class TestThreadedWorkersParity:
@@ -315,7 +313,6 @@ class TestHttpTransportAndClient:
             )["result"]["feasible"] is True
             stats = client.stats()
             assert stats["metrics"]["counters"]["kb.updates"] == 2
-            assert stats["pool"]["stale_purged"] == 0
 
     def test_http_delete_quotes_names(self, served):
         daemon, url = served
@@ -346,3 +343,43 @@ class TestStorePersistence:
         with InprocDaemon(daemon2) as harness:
             reply = harness.query(make_envelope("check", _request()))
             assert reply["ok"] and reply["result"]["feasible"] is False
+
+    def test_failed_log_write_changes_nothing(self, tmp_path):
+        """A fact-log write that fails mid-delta (here a trigger aborts
+        the second insert, as "database is locked" would) leaves the
+        served KB, its store and the log exactly as they were; the next
+        PUT persists."""
+        import sqlite3
+
+        path = str(tmp_path / "kb.sqlite")
+        kb = _kb()
+        store = SqliteFactStore(path)
+        kb.attach_store(store, snapshot=True)
+        logged = store.latest_seq
+        fingerprint = kb.fingerprint()
+        with sqlite3.connect(path) as admin:
+            admin.execute(
+                "CREATE TRIGGER refuse BEFORE INSERT ON facts "
+                "WHEN NEW.name = 'outlawed' "
+                "BEGIN SELECT RAISE(ABORT, 'log write refused'); END"
+            )
+        daemon = ReasoningDaemon(kb, DaemonConfig(port=None))
+        with InprocDaemon(daemon) as harness:
+            reply = harness.query(_put([_new_nic_op(), _outlaw_op()]))
+            assert reply["ok"] is False
+            served = daemon.kbs["default"]
+            assert served is kb and served.store is store
+            assert served.fingerprint() == fingerprint
+            assert store.latest_seq == logged
+            with sqlite3.connect(path) as admin:
+                admin.execute("DROP TRIGGER refuse")
+            assert harness.query(_put([_outlaw_op()]))["ok"]
+            served = daemon.kbs["default"]
+            assert served.store is store
+            assert store.latest_seq == logged + 1
+            fingerprint = served.fingerprint()
+        store.close()
+        with SqliteFactStore(path) as replay:
+            reborn = KnowledgeBase.from_store(replay)
+        assert reborn.fingerprint() == fingerprint
+        assert "NewNIC" not in reborn.hardware

@@ -1,16 +1,16 @@
-"""SessionPool accounting under KB-fingerprint churn and shape churn.
+"""SessionPool accounting under KB churn and shape churn.
 
 Regression suite for two pool policies:
 
 1. Checkin evicts the *oldest* idle session when the pool is full
    (counted in ``evictions``), never the incoming one — the historical
    bug let unreachable sessions squat and pin the hit rate to zero.
-2. Checkout *re-keys* idle sessions whose scoped fingerprint a KB delta
-   changed (counted in ``rekeyed``) instead of discarding them: the
-   session absorbs the delta on its next view (adopt / guard-group
-   patch / full rebase), so KB churn no longer cold-starts the pool.
-   ``stale_purged`` stays for legacy accounting and is expected to be 0
-   under delta-journaled mutation.
+2. The key is ``(kb_name, shape_key(request))``: a KB delta leaves every
+   idle session addressable, checkout rebinds the one it hands out to
+   the current KB, and the session absorbs the delta on its next view
+   (adopt / guard-group patch / full rebase), so KB churn never
+   cold-starts the pool. ``rekeyed`` counts hits that hand out a
+   session last used at an older KB version.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import pytest
 
 from repro.core.design import DesignRequest
 from repro.core.query import Query
+from repro.core.session import shape_key
 from repro.kb.hardware import Hardware, NICSpec, ServerSpec
 from repro.kb.registry import KnowledgeBase
 from repro.kb.rules import Rule
@@ -69,20 +70,22 @@ class TestFingerprintChurn:
         pool = SessionPool(max_sessions=2)
         query = _query()
         for i in range(6):
-            # Every mutation changes the scoped fingerprint; checkout
-            # re-keys the idle session, which absorbs the delta.
+            # Every mutation changes the KB the session compiled; the
+            # session absorbs it under the same key.
             kb.add_rule(Rule(name=f"churn_{i}", formula=TRUE))
             assert _roundtrip(pool, kb, query).feasible
         stats = pool.stats_dict()
         assert stats["idle"] <= 2
         assert stats["size"] <= 2
-        # Every idle key is addressable under the *current* KB state.
-        current = SessionPool.key_for("default", kb, query)[1]
+        # The key holds no KB state: the one warm session sits under
+        # its shape key, whatever the KB version.
         with pool._lock:
-            assert all(key[1] == current for key in pool._idle)
+            assert list(pool._idle) == [
+                ("default", shape_key(query.request))
+            ]
 
     def test_churn_rekeys_instead_of_purging(self):
-        """A KB delta keeps warm sessions: re-key + in-place absorb."""
+        """A KB delta keeps warm sessions: rebind + in-place absorb."""
         kb = _kb()
         pool = SessionPool(max_sessions=2)
         query = _query()
@@ -91,15 +94,43 @@ class TestFingerprintChurn:
         for i in range(rounds):
             kb.add_rule(Rule(name=f"churn_{i}", formula=TRUE))
             assert _roundtrip(pool, kb, query).feasible
+        # No delta since the last use: a plain hit.
+        assert _roundtrip(pool, kb, query).feasible
         stats = pool.stats_dict()
-        # One compile total: every later round re-keys the warm session
-        # (a pool hit) and the session patches the new rule in place.
+        # One compile total: every later round hands out the warm
+        # session and the session patches the new rule in place.
         assert stats["misses"] == 1
-        assert stats["hits"] == rounds
+        assert stats["hits"] == rounds + 1
         assert stats["rekeyed"] == rounds
-        assert stats["stale_purged"] == 0
         assert stats["evictions"] == 0
         assert stats["discarded_overflow"] == 0
+
+    def test_rekeyed_counts_deltas_outside_the_scope(self):
+        """A delta the session's scope never sees still counts: the hit
+        handed out a session last used at an older KB version, which
+        adopts the new version without solver work."""
+        kb = _kb()
+        pool = SessionPool(max_sessions=2)
+        query = Query("check", DesignRequest(
+            workloads=[Workload(name="app",
+                                objectives=["packet_processing"])],
+            candidate_systems=["Stack"],
+            inventory={"NIC": 2, "Box": 2},
+        ))
+        _roundtrip(pool, kb, query)
+        kb.add_hardware(Hardware(
+            spec=NICSpec(model="Offside", rate_gbps=100, power_w=20,
+                         cost_usd=900),
+            max_units=4,
+        ))
+        pooled = pool.checkout("default", kb, query)
+        assert pooled.execute(query).feasible
+        pool.checkin(pooled)
+        stats = pool.stats_dict()
+        assert (stats["hits"], stats["rekeyed"]) == (1, 1)
+        session = pooled.session.stats
+        assert (session.compiles, session.rebases,
+                session.rebases_avoided) == (1, 0, 1)
 
     def test_rekeyed_session_absorbs_instead_of_recompiling(self):
         kb = _kb()
@@ -141,12 +172,12 @@ class TestFingerprintChurn:
         kb_a.add_rule(Rule(name="churn", formula=TRUE))
         _roundtrip(pool, kb_a, query, kb_name="a")
         stats = pool.stats_dict()
-        assert stats["rekeyed"] == 1  # only kb_a's session re-keyed
-        assert stats["stale_purged"] == 0
+        assert stats["rekeyed"] == 1  # only kb_a's session saw a delta
         # Both KBs' warm sessions hit.
         assert pool.stats_dict()["hits"] == 1
         _roundtrip(pool, kb_b, query, kb_name="b")
         assert pool.stats_dict()["hits"] == 2
+        assert pool.stats_dict()["rekeyed"] == 1
 
 
 class TestCheckinEviction:

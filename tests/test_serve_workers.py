@@ -23,13 +23,16 @@ Four obligations, mirroring the daemon's threaded-mode guarantees:
 from __future__ import annotations
 
 import asyncio
+import copy
 import json
 import os
+import queue
 import signal
 import time
 
 import pytest
 
+from repro.core.compile import request_entity_scope
 from repro.core.design import DesignRequest
 from repro.core.query import Query
 from repro.kb.hardware import Hardware, NICSpec, ServerSpec
@@ -165,21 +168,20 @@ class _StubProcess:
         return self.running
 
 
-def _idle_supervisor(workers: int):
+def _idle_supervisor(workers: int) -> WorkerSupervisor:
     """A supervisor whose slots look live but run no process."""
-    kb = _kb()
     supervisor = WorkerSupervisor(
-        {"default": kb}, DaemonConfig(port=None, workers=workers)
+        {"default": _kb()}, DaemonConfig(port=None, workers=workers)
     )
     for handle in supervisor.workers:
         handle.process = _StubProcess()
-    return supervisor, kb
+    return supervisor
 
 
-def _ring_order(supervisor: WorkerSupervisor, kb, query) -> list[int]:
+def _ring_order(supervisor: WorkerSupervisor, query) -> list[int]:
     """The key's slots clockwise round the ring, walked independently
     of ``route``."""
-    key = SessionPool.key_for("default", kb, query)
+    key = SessionPool.key_for("default", query)
     point = supervisor._hash(repr(key))
     ring = supervisor._ring
     start = next(
@@ -201,105 +203,175 @@ class TestRouting:
         return _idle_supervisor(workers)
 
     def test_same_shape_always_routes_to_the_same_slot(self):
-        supervisor, kb = self._supervisor(4)
+        supervisor = self._supervisor(4)
         query = Query("check", _request())
         slots = {
-            supervisor.route("default", kb, query).slot for _ in range(8)
+            supervisor.route("default", query).slot for _ in range(8)
         }
         assert len(slots) == 1
 
     def test_distinct_shapes_spread_across_slots(self):
-        supervisor, kb = self._supervisor(4)
+        supervisor = self._supervisor(4)
         slots = {
             supervisor.route(
-                "default", kb, Query("check", _request(f"shape{i}"))
+                "default", Query("check", _request(f"shape{i}"))
             ).slot
             for i in range(32)
         }
         assert len(slots) >= 2
 
     def test_busy_preferred_slot_hands_off_to_an_idle_one(self):
-        supervisor, kb = self._supervisor(2)
+        supervisor = self._supervisor(2)
         query = Query("check", _request())
-        preferred = supervisor.route("default", kb, query)
+        preferred = supervisor.route("default", query)
         _busy(preferred)
         other = next(h for h in supervisor.workers if h is not preferred)
-        assert supervisor.route("default", kb, query) is other
+        assert supervisor.route("default", query) is other
         assert supervisor.metrics.counter("route.spill") == 1
 
     def test_equal_loads_keep_the_preferred_slot(self):
-        supervisor, kb = self._supervisor(2)
+        supervisor = self._supervisor(2)
         query = Query("check", _request())
-        preferred = supervisor.route("default", kb, query)
+        preferred = supervisor.route("default", query)
         for handle in supervisor.workers:
             _busy(handle, 2)
-        assert supervisor.route("default", kb, query) is preferred
+        assert supervisor.route("default", query) is preferred
         assert supervisor.metrics.counter("route.affinity") == 2
         assert supervisor.metrics.counter("route.spill") == 0
 
     def test_busy_preferred_slot_spills_to_its_ring_successor(self):
-        supervisor, kb = self._supervisor(4)
+        supervisor = self._supervisor(4)
         for i in range(8):
             query = Query("check", _request(f"shape{i}"))
-            order = _ring_order(supervisor, kb, query)
+            order = _ring_order(supervisor, query)
             assert len(order) == 4
             for handle in supervisor.workers:
                 handle.pending = {}
             _busy(supervisor.workers[order[0]])
             slots = {
-                supervisor.route("default", kb, query).slot
+                supervisor.route("default", query).slot
                 for _ in range(4)
             }
             assert slots == {order[1]}
 
     def test_disabled_preferred_slot_goes_to_its_ring_successor(self):
-        supervisor, kb = self._supervisor(4)
+        supervisor = self._supervisor(4)
         for i in range(8):
             query = Query("check", _request(f"shape{i}"))
-            order = _ring_order(supervisor, kb, query)
+            order = _ring_order(supervisor, query)
             for handle in supervisor.workers:
                 handle.process = _StubProcess()
             supervisor.workers[order[0]].process = None
-            assert supervisor.route("default", kb, query).slot == order[1]
+            assert supervisor.route("default", query).slot == order[1]
 
     def test_disabled_slot_falls_back_to_a_live_worker(self):
-        supervisor, kb = self._supervisor(2)
+        supervisor = self._supervisor(2)
         query = Query("check", _request())
-        preferred = supervisor.route("default", kb, query)
+        preferred = supervisor.route("default", query)
         preferred.process = None
-        routed = supervisor.route("default", kb, query)
+        routed = supervisor.route("default", query)
         assert routed is not preferred and routed.process is not None
 
     def test_exited_worker_is_never_chosen_before_its_loss_is_handled(self):
         """A worker that exited has nothing pending until its pipe EOF is
         handled; it must not win on load and fail the request."""
-        supervisor, kb = self._supervisor(2)
+        supervisor = self._supervisor(2)
         query = Query("check", _request())
-        preferred = supervisor.route("default", kb, query)
+        preferred = supervisor.route("default", query)
         other = next(h for h in supervisor.workers if h is not preferred)
         _busy(other, 3)
         preferred.process = _StubProcess(alive=False)
-        assert supervisor.route("default", kb, query) is other
+        assert supervisor.route("default", query) is other
 
     def test_all_slots_disabled_is_a_structured_error(self):
-        supervisor, kb = self._supervisor(2)
+        supervisor = self._supervisor(2)
         for handle in supervisor.workers:
             handle.process = None
         with pytest.raises(WireError) as excinfo:
-            supervisor.route("default", kb, Query("check", _request()))
+            supervisor.route("default", Query("check", _request()))
         assert excinfo.value.code == "internal"
+
+
+def _nic(model: str) -> Hardware:
+    return Hardware(
+        spec=NICSpec(model=model, rate_gbps=100, power_w=20, cost_usd=900),
+        max_units=4,
+    )
+
+
+class TestShapeKeyedRing:
+    def test_a_delta_in_scope_moves_no_shape_off_its_slot(self):
+        """The ring key is ``(kb_name, shape)``: a KB delta that changes
+        every request's scoped fingerprint leaves each shape on the
+        worker that compiled it."""
+        supervisor = _idle_supervisor(2)
+        kb = supervisor.kbs["default"]
+        queries = [Query("check", _request(f"shape{i}")) for i in range(16)]
+        before = [supervisor.route("default", q).slot for q in queries]
+        scopes = [request_entity_scope(kb, q.request) for q in queries]
+        prints = [kb.scoped_fingerprint(scope) for scope in scopes]
+        # A new hardware model under an unpinned inventory is in scope.
+        evolved = copy.deepcopy(kb)
+        evolved.apply_entity_delta([{
+            "op": "upsert", "entity": "hardware", "name": "NewNIC",
+            "payload": _nic("NewNIC").to_dict(),
+        }])
+        supervisor.kbs["default"] = evolved
+        assert all(
+            evolved.scoped_fingerprint(request_entity_scope(
+                evolved, q.request)) != fp
+            for q, fp in zip(queries, prints)
+        )
+        after = [supervisor.route("default", q).slot for q in queries]
+        assert after == before
+        assert len(set(before)) == 2
+
+    def test_request_path_hashes_no_kb_state(self, monkeypatch):
+        """Pool checkout, routing and shipping a delta to the worker
+        never fingerprint the KB: the session is the one place that
+        reacts to a KB change."""
+        supervisor = _idle_supervisor(2)
+        kb = supervisor.kbs["default"]
+        handle = supervisor.workers[0]
+        handle.send_q = queue.Queue()
+        handle.shipped = {"default": kb.version}
+        pool = SessionPool(max_sessions=2)
+        query = Query("check", _request())
+        pool.checkin(pool.checkout("default", kb, query))
+        kb.add_hardware(_nic("NewNIC"))
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("KB hashed on the request path")
+
+        monkeypatch.setattr(KnowledgeBase, "fingerprint", refuse)
+        monkeypatch.setattr(KnowledgeBase, "scoped_fingerprint", refuse)
+        pooled = pool.checkout("default", kb, query)
+        assert pooled.session.kb is kb
+        pool.checkin(pooled)
+        assert pool.checkout("default", kb, Query(
+            "check", _request("other"))).session.kb is kb
+        stats = pool.stats_dict()
+        assert (stats["hits"], stats["misses"], stats["rekeyed"]) == (1, 2, 1)
+        assert supervisor.route("default", query).alive
+        supervisor._ship_kb(handle, "default", kb)
+        supervisor._ship_kb(handle, "default", kb)
+        message = json.loads(handle.send_q.get_nowait())
+        assert message["kind"] == "apply_delta"
+        assert [op["name"] for op in message["ops"]] == ["NewNIC"]
+        assert handle.send_q.empty()
+        assert handle.shipped == {"default": kb.version}
 
 
 class TestConcurrentRouting:
     def test_two_concurrent_shapes_on_one_slot_keep_both_workers_busy(self):
         """Two architects whose shapes prefer the same slot are answered
         by both workers, byte-identically to threaded mode."""
-        idle, kb = _idle_supervisor(2)
+        idle = _idle_supervisor(2)
         by_slot: dict[int, list[str]] = {}
         for i in range(32):
             shape = f"shape{i}"
             query = Query("check", _request(shape))
-            slot = idle.route("default", kb, query).slot
+            slot = idle.route("default", query).slot
             by_slot.setdefault(slot, []).append(shape)
         shapes = next(names for names in by_slot.values() if len(names) >= 2)
         envelopes = [
@@ -338,7 +410,7 @@ class TestStreamRelay:
                   b'{"count":2,"done":true}']
 
         async def run():
-            supervisor, _kb = _idle_supervisor(1)
+            supervisor = _idle_supervisor(1)
             handle = supervisor.workers[0]
             handle.conn = object()
             future = asyncio.get_running_loop().create_future()
