@@ -205,7 +205,7 @@ def run_benchmark(
             report["warm"] = run_load(local_url, clients, quick)
             report["pool"] = (
                 None if workers > 1
-                else harness.daemon.pool.stats_dict()
+                else harness.daemon.stats_payload()["pool"]
             )
         finally:
             harness.stop()

@@ -158,7 +158,7 @@ def _cmd_whatif(args: argparse.Namespace) -> int:
     Every file is a full DesignRequest JSON; the first is the baseline
     and the rest are variations. Each request lowers to a Query on the
     engine's executor, which keeps one compile-once session: the KB
-    encoding is compiled (and preprocessed) once, each request adds only
+    encoding is compiled and preprocessed once, each request adds only
     its own constraint groups, and learned clauses carry across the
     whole stream.
     """
@@ -168,7 +168,7 @@ def _cmd_whatif(args: argparse.Namespace) -> int:
 
     requests = _load_requests(args.request)
     kb = default_knowledge_base()
-    engine = ReasoningEngine(kb, preprocess=not args.no_preprocess)
+    engine = ReasoningEngine(kb)
     verb = engine.check if args.check else engine.synthesize
     all_feasible = True
     for path, request in zip(args.request, requests):
@@ -206,7 +206,7 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
 
     requests = _load_requests(args.request)
     kb = default_knowledge_base()
-    engine = ReasoningEngine(kb, preprocess=not args.no_preprocess)
+    engine = ReasoningEngine(kb)
     any_conflict = False
     for path, request in zip(args.request, requests):
         start = time.perf_counter()
@@ -428,7 +428,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         queue_limit=args.queue,
         rate=args.rate,
         burst=args.burst,
-        preprocess=not args.no_preprocess,
         drain_timeout=args.drain_timeout,
         cache_size=args.cache,
     )
@@ -521,8 +520,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "compile-once session")
     whatif.add_argument("--check", action="store_true",
                         help="feasibility only (skip optimization)")
-    whatif.add_argument("--no-preprocess", action="store_true",
-                        help="skip SatELite-style CNF preprocessing")
     whatif.add_argument("--stats", action="store_true",
                         help="print session statistics to stderr")
     whatif.set_defaults(func=_cmd_whatif)
@@ -537,8 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
     diagnose.add_argument("--explain", action="store_true",
                           help="append the human-readable conflict "
                                "explanation under each infeasible request")
-    diagnose.add_argument("--no-preprocess", action="store_true",
-                          help="skip SatELite-style CNF preprocessing")
     diagnose.add_argument("--stats", action="store_true",
                           help="print session statistics to stderr")
     diagnose.set_defaults(func=_cmd_diagnose)
@@ -586,8 +581,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default 0 = unlimited)")
     serve.add_argument("--burst", type=int, default=20, metavar="N",
                        help="per-client token-bucket capacity (default 20)")
-    serve.add_argument("--no-preprocess", action="store_true",
-                       help="skip CNF preprocessing in pooled sessions")
     serve.add_argument("--drain-timeout", type=float, default=10.0,
                        metavar="S",
                        help="seconds to wait for inflight solves on "
@@ -597,9 +590,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "else seed it with the default KB; PUT /kb "
                             "deltas are appended durably")
     serve.add_argument("--cache", type=int, default=0, metavar="N",
-                       help="shared query-result cache entries (default 0 "
-                            "= off; cached answers may legally differ "
-                            "byte-wise from freshly solved ties)")
+                       help="query-result cache entries per solver slot "
+                            "(default 0 = off; cached answers may legally "
+                            "differ byte-wise from freshly solved ties)")
     serve.set_defaults(func=_cmd_serve)
 
     ingest = sub.add_parser(

@@ -9,8 +9,8 @@ exactly the answer to the paper's "tell the architect which of their
 requirements are in conflict".
 
 Determinism matters here: the engine promises the *same* minimal
-conflict whether a query ran on a fresh solver or a shared incremental
-session, with or without CNF preprocessing. Solver-returned cores are
+conflict whether a query ran on a fresh solver or on a shared
+incremental session, which preprocesses its CNF. Solver-returned cores are
 config-dependent (they reflect the learned-clause state), so they are
 used only as a *witness* that lets the minimization skip solver calls —
 never to steer which minimal set is found. The scan itself walks all

@@ -75,21 +75,19 @@ class ReasoningEngine:
         observer: EngineObserver | None = None,
         cache: QueryCache | None = None,
         incremental: bool = True,
-        preprocess: bool = True,
     ):
         if validate:
             kb.validate_or_raise()
         self.kb = kb
         #: The unified pipeline every verb dispatches through. Result
         #: caching (keys cover the KB fingerprint, so registry mutations
-        #: invalidate prior entries), the shared incremental session,
-        #: batch de-duplication, and per-stage observability all live here.
+        #: invalidate prior entries), the shared incremental session, and
+        #: per-stage observability all live here.
         self.executor = QueryExecutor(
             kb,
             observer=observer,
             cache=cache,
             incremental=incremental,
-            preprocess=preprocess,
         )
 
     # -- executor configuration (read-only view) ----------------------------------

@@ -37,7 +37,7 @@ from repro.core.design import (
 )
 from repro.core.diagnose import conflict_from_core
 from repro.core.equivalence import deployment_classes
-from repro.core.query import CACHEABLE_VERBS, Query
+from repro.core.query import Query
 from repro.errors import KnowledgeBaseError, QueryError
 from repro.kb.registry import KnowledgeBase
 from repro.logic.pseudo_boolean import PBTerm
@@ -69,7 +69,6 @@ class QueryExecutor:
         observer: EngineObserver | None = None,
         cache: QueryCache | None = None,
         incremental: bool = True,
-        preprocess: bool = True,
         session=None,
     ):
         self.kb = kb
@@ -82,13 +81,12 @@ class QueryExecutor:
         ):
             cache.metrics = observer.metrics
         self.incremental = incremental
-        self.preprocess = preprocess
         self._session = session
-        # Incremental sessions and preprocessing both change which
-        # (equally valid) model or minimal conflict is returned, so
-        # executors under different configurations must not share cache
-        # entries: the configuration is part of every key.
-        self._config_tag = f"inc={int(incremental)};pp={int(preprocess)}"
+        # An incremental session (which also preprocesses its compiled
+        # base) can return a different, equally valid model or minimal
+        # conflict than a fresh compile, so the two paths must not share
+        # cache entries: the configuration is part of every key.
+        self._config_tag = f"inc={int(incremental)}"
         # Key suffix for option-less queries (check/synthesize/diagnose),
         # precomputed so the warm cache-hit path builds no strings.
         self._default_options_config = (
@@ -110,7 +108,6 @@ class QueryExecutor:
 
             self._session = ReasoningSession(
                 self.kb,
-                preprocess=self.preprocess,
                 observer=self.observer,
                 validate=False,
             )
@@ -191,10 +188,7 @@ class QueryExecutor:
                 text = self._explain(query.request, outcome)
             self._record(verb, None)
             return text
-        if self.cache is not None and verb in CACHEABLE_VERBS:
-            key = self._query_key(query, self._scope(query.request))
-        else:
-            key = None
+        key = self.cache_key(query)
         if key is not None:
             observer = self.observer
             if observer is not None and observer.enabled:
@@ -211,42 +205,12 @@ class QueryExecutor:
         return result
 
     def execute_many(self, queries: Sequence[Query]) -> list:
-        """Answer every query in order on this executor.
+        """Answer every query in order through :meth:`execute`.
 
-        Hits are answered inline; duplicate queries (same cache key) are
-        computed once and fanned back to every position that asked.
-        Misses run in input order on the shared incremental session (or
-        a fresh compile each without one).
+        A repeated query is computed once when a cache is attached: the
+        first computation stores its result, and every repeat is a hit.
         """
-        results: list = [None] * len(queries)
-        pending_keys: list[str | None] = []
-        pending: list[Query] = []
-        pending_idx: list[list[int]] = []
-        slot_by_key: dict[str, int] = {}
-        for i, query in enumerate(queries):
-            key = self.cache_key(query)
-            if key is not None:
-                with self._tracer.span("cache"):
-                    cached = self.cache.get(key, _MISS)
-                self._record_cache(query.verb, hit=cached is not _MISS)
-                if cached is not _MISS:
-                    results[i] = cached
-                    continue
-                slot = slot_by_key.get(key)
-                if slot is not None:
-                    pending_idx[slot].append(i)
-                    continue
-                slot_by_key[key] = len(pending)
-            pending_keys.append(key)
-            pending.append(query)
-            pending_idx.append([i])
-        for slot, query in enumerate(pending):
-            result = self._execute_miss(query)
-            if pending_keys[slot] is not None:
-                self.cache.put(pending_keys[slot], result)
-            for i in pending_idx[slot]:
-                results[i] = result
-        return results
+        return [self.execute(query) for query in queries]
 
     def _execute_miss(self, query: Query):
         """Stages 2-5: acquire a view, solve, dispatch, record.
@@ -449,10 +413,6 @@ class QueryExecutor:
             return
         stats = view.solver.stats.as_dict() if view is not None else None
         self.observer.record_query(verb, stats)
-
-    def _record_cache(self, verb: str, hit: bool) -> None:
-        if self.observer is not None and self.observer.enabled:
-            self.observer.record_cache(verb, hit)
 
 
 def _objectives(view: CompiledDesign):

@@ -79,8 +79,7 @@ class Query:
     ) -> str:
         """Canonical cache key: verb + KB state + request + options.
 
-        *config* names the executor configuration (incremental /
-        preprocessing flags); see
+        *config* names the executor configuration (``inc=0|1``); see
         :func:`~repro.par.cache.request_cache_key` for why it must be
         part of the key. *scope* is the request's entity footprint; with
         it the key survives KB deltas disjoint from the footprint.

@@ -9,9 +9,9 @@ discarding everything the previous query taught it.
 :class:`ReasoningSession` keeps one persistent
 :class:`~repro.sat.Solver` per knowledge-base *shape*:
 
-- the KB encoding is compiled **once** (and optionally run through the
+- the KB encoding is compiled **once** and run through the
   SatELite-style :mod:`repro.sat.preprocess` passes, with every named /
-  cached variable frozen);
+  cached variable frozen;
 - every request-specific constraint group (required/forbidden systems,
   budgets, fixed hardware, performance bounds, context values) sits
   behind a guard literal, so each query is a ``solve(assumptions)``
@@ -118,11 +118,6 @@ class ReasoningSession:
     kb:
         The knowledge base. Mutating it between queries is fine — the
         fingerprint check triggers a transparent recompile.
-    preprocess:
-        Run the SatELite-style CNF preprocessing passes once per compile
-        (subsumption, self-subsuming resolution, bounded variable
-        elimination). All named and structurally-cached variables are
-        frozen, so assumption literals and model extraction stay valid.
     observer:
         Optional :class:`~repro.obs.EngineObserver` for tracing.
     """
@@ -130,14 +125,12 @@ class ReasoningSession:
     def __init__(
         self,
         kb: KnowledgeBase,
-        preprocess: bool = True,
         observer: EngineObserver | None = None,
         validate: bool = True,
     ):
         if validate:
             kb.validate_or_raise()
         self.kb = kb
-        self.preprocess = preprocess
         self.observer = observer
         self.stats = SessionStats()
         self._poisoned = False
@@ -156,7 +149,6 @@ class ReasoningSession:
             kb,
             observer=observer,
             incremental=True,
-            preprocess=preprocess,
             session=self,
         )
 
@@ -363,12 +355,11 @@ class ReasoningSession:
         self._scope = request_entity_scope(self.kb, request)
         self._totalizers = {}
         self.stats.compiles += 1
-        if self.preprocess:
-            with self._tracer.span("preprocess"):
-                stats = preprocess_solver(
-                    self._compiled.solver, self._frozen_vars()
-                )
-            self.stats.last_preprocess = stats.as_dict()
+        with self._tracer.span("preprocess"):
+            stats = preprocess_solver(
+                self._compiled.solver, self._frozen_vars()
+            )
+        self.stats.last_preprocess = stats.as_dict()
 
     def _frozen_vars(self) -> set[int]:
         """Every variable a later query (or extraction) may mention.

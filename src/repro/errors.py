@@ -53,6 +53,12 @@ class ValidationError(KnowledgeBaseError):
     """An encoding failed schema or consistency validation."""
 
 
+class StoreBusyError(ReproError):
+    """A fact store refused a write for a passing reason: another writer
+    holds its lock. Nothing was written, so the same write may be
+    retried."""
+
+
 class ReasoningError(ReproError):
     """Base class for reasoning-layer errors."""
 

@@ -19,7 +19,25 @@ import sqlite3
 import threading
 from typing import Iterable, Iterator
 
+from repro.errors import StoreBusyError
 from repro.kb.store.base import Fact, FactStore, validate_fact
+
+#: Primary result codes of a write refused by another connection's lock:
+#: SQLITE_BUSY and SQLITE_LOCKED (literal, since the sqlite3 module names
+#: them only from Python 3.11).
+_BUSY_CODES = (5, 6)
+#: What those two codes read as, for an error that carries no code
+#: (``sqlite_errorcode`` is missing before 3.11 and may be None after).
+_BUSY_MESSAGES = ("database is locked", "database table is locked")
+
+
+def _is_busy(exc: sqlite3.OperationalError) -> bool:
+    """True when ``exc`` is a write refused by another writer's lock."""
+    code = getattr(exc, "sqlite_errorcode", None)
+    if code is not None:
+        return code & 0xFF in _BUSY_CODES
+    return str(exc) in _BUSY_MESSAGES
+
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS facts (
@@ -59,14 +77,22 @@ class SqliteFactStore(FactStore):
         ]
         # The connection as a context manager commits the transaction on
         # success and rolls every insert back on any exception.
-        with self._lock, self._conn:
-            return [
-                Fact(self._conn.execute(
-                    "INSERT INTO facts (op, kind, name, payload) "
-                    "VALUES (?,?,?,?)", row,
-                ).lastrowid, *record)
-                for row, record in zip(rows, records)
-            ]
+        try:
+            with self._lock, self._conn:
+                return [
+                    Fact(self._conn.execute(
+                        "INSERT INTO facts (op, kind, name, payload) "
+                        "VALUES (?,?,?,?)", row,
+                    ).lastrowid, *record)
+                    for row, record in zip(rows, records)
+                ]
+        except sqlite3.OperationalError as exc:
+            if _is_busy(exc):
+                raise StoreBusyError(
+                    f"fact log {self.path!r} is locked by another writer: "
+                    f"{exc}; retry later"
+                ) from exc
+            raise
 
     def scan(self, after: int = 0, upto: int | None = None) -> Iterator[Fact]:
         bound = self.latest_seq if upto is None else upto

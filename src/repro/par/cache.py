@@ -33,11 +33,10 @@ def request_cache_key(
 ) -> str:
     """Canonical hash of an engine query: verb + KB state + request.
 
-    *config* names the solver/preprocessing configuration that produced
-    the answer (e.g. ``"inc=1;pp=0"``). Engines running under different
-    configurations may legitimately return different (equally valid)
-    models or differently-minimized conflicts, so their results must not
-    alias in a shared cache.
+    *config* names the executor configuration that produced the answer
+    (``"inc=1"`` for a session, ``"inc=0"`` for a fresh compile). The two
+    may legitimately return different (equally valid) models, so their
+    results must not alias in a shared cache.
 
     With *scope* (the request's entity footprint, see
     :func:`repro.core.compile.request_entity_scope`) the key hashes

@@ -59,7 +59,7 @@ from typing import TYPE_CHECKING
 from urllib.parse import unquote
 
 from repro.core.query import Query
-from repro.errors import KnowledgeBaseError, QueryError
+from repro.errors import KnowledgeBaseError, QueryError, StoreBusyError
 from repro.kb.registry import KnowledgeBase
 from repro.obs.metrics import LatencyHistogram, MetricsRegistry
 from repro.par.cache import QueryCache
@@ -90,6 +90,7 @@ __all__ = [
     "UnaryReply",
     "answer_query",
     "error_reply",
+    "slot_pool",
     "solver_stats",
 ]
 
@@ -109,6 +110,12 @@ _POOL_SUM_FIELDS = (
     "discarded_poisoned", "discarded_overflow",
     "idle", "in_use", "size", "distinct_keys",
 )
+
+
+def _sum_blocks(blocks: list[dict], fields) -> dict:
+    """Sum each of *fields* over the solver slots' stats *blocks*."""
+    return {name: sum(b.get(name, 0) for b in blocks) for name in fields}
+
 
 #: ``put_kb`` ops whose fact kind is ``ordering`` whatever their entity.
 _ORDERING_OPS = ("add_ordering", "remove_ordering", "set_orderings")
@@ -140,17 +147,15 @@ class DaemonConfig:
     burst: int = 20
     #: Hard bound on a request body / NDJSON line.
     max_body_bytes: int = 1_000_000
-    #: Query-result cache entries (0 = disabled, the default: caching
-    #: memoizes the *first* equally-valid answer, which weakens the
-    #: byte-for-byte trajectory parity with direct execution that the
-    #: differential suite pins). Threaded mode shares one cache across
-    #: pooled sessions; process mode gives each worker its own cache of
-    #: this size. Keys hash the request's scoped KB fingerprint, so a
-    #: ``PUT /kb`` delta strands exactly the entries it can change;
-    #: the LRU bound reclaims them.
+    #: Query-result cache entries per solver slot (0 = disabled, the
+    #: default: caching memoizes the *first* equally-valid answer, which
+    #: weakens the byte-for-byte trajectory parity with direct execution
+    #: that the differential suite pins). Each slot's cache is shared by
+    #: its pooled sessions: threaded mode has one, process mode one per
+    #: worker, and ``/stats`` sums them. Keys hash the request's scoped
+    #: KB fingerprint, so a ``PUT /kb`` delta strands exactly the entries
+    #: it can change; the LRU bound reclaims them.
     cache_size: int = 0
-    #: CNF preprocessing for pooled sessions.
-    preprocess: bool = True
     #: Seconds stop() waits for inflight solves before giving up.
     drain_timeout: float = 10.0
 
@@ -193,6 +198,8 @@ def error_reply(request_id, exc: Exception) -> UnaryReply:
         code, message = exc.code, exc.message
     elif isinstance(exc, (QueryError, KnowledgeBaseError)):
         code, message = "bad_request", str(exc)
+    elif isinstance(exc, StoreBusyError):
+        code, message = "unavailable", str(exc)
     else:
         code, message = "internal", repr(exc)
     return UnaryReply(
@@ -234,10 +241,25 @@ def answer_query(pooled: PooledSession, query: Query, request_id,
         return error_reply(request_id, exc)
 
 
+def slot_pool(config: DaemonConfig) -> SessionPool:
+    """One solver slot's warm session pool and result cache.
+
+    Built where the slot's queries run — by :class:`ThreadBackend`, and
+    by each worker process in :func:`~repro.serve.workers.worker_main` —
+    so no pool or cache exists that no request reads.
+    """
+    cache = (
+        QueryCache(config.cache_size) if config.cache_size > 0 else None
+    )
+    return SessionPool(max_sessions=config.pool_size, cache=cache)
+
+
 def solver_stats(pool: SessionPool, metrics: MetricsRegistry) -> dict:
-    """A solver's stats snapshot: its pool, counters and histograms."""
+    """A solver's stats snapshot: its pool and cache, counters and
+    histograms."""
     return {
         "pool": pool.stats_dict(),
+        "cache": pool.cache.stats() if pool.cache is not None else None,
         "counters": metrics.as_dict().get("counters", {}),
         "histograms": metrics.histogram_states(),
     }
@@ -254,12 +276,13 @@ class ThreadBackend:
 
     lost_total = 0
 
-    def __init__(self, pool: SessionPool, threads: int):
-        self.pool = pool
+    def __init__(self, config: DaemonConfig):
+        self.pool = slot_pool(config)
         #: Solver-side registry, the counterpart of a worker's.
         self.metrics = MetricsRegistry()
         self._executor = ThreadPoolExecutor(
-            max_workers=max(1, threads), thread_name_prefix="repro-serve",
+            max_workers=max(1, config.max_inflight),
+            thread_name_prefix="repro-serve",
         )
         self._started_at = time.monotonic()
 
@@ -329,15 +352,6 @@ class ReasoningDaemon:
         self.kbs = dict(kbs)
         self.config = config or DaemonConfig()
         self.metrics = MetricsRegistry()
-        self.cache = (
-            QueryCache(self.config.cache_size, name="daemon.cache")
-            if self.config.cache_size > 0 else None
-        )
-        self.pool = SessionPool(
-            max_sessions=self.config.pool_size,
-            preprocess=self.config.preprocess,
-            cache=self.cache,
-        )
         #: Serializes KB mutations (copy-on-write swap + worker ship).
         self._kb_lock = asyncio.Lock()
         self.admission = AdmissionController(
@@ -352,9 +366,7 @@ class ReasoningDaemon:
             self._supervisor = workers.WorkerSupervisor(
                 self.kbs, self.config, metrics=self.metrics
             )
-        self._backend = self._supervisor or ThreadBackend(
-            self.pool, self.config.max_inflight
-        )
+        self._backend = self._supervisor or ThreadBackend(self.config)
         self._servers: list[asyncio.AbstractServer] = []
         self._conn_tasks: set[asyncio.Task] = set()
         self._draining = False
@@ -556,15 +568,15 @@ class ReasoningDaemon:
     def stats_payload(self) -> dict:
         """``/stats``: the daemon block, then the solver slots' snapshots
         (one in threaded mode, one per worker in process mode) with
-        their pools summed and solve-latency histograms merged."""
+        their pools and caches summed and solve-latency histograms
+        merged."""
         uptime = (
             time.monotonic() - self._started_at
             if self._started_at is not None else 0.0
         )
         workers = self._backend.slot_stats()
-        pools = [w["pool"] for w in workers if w.get("pool")]
-        pool = {name: sum(p.get(name, 0) for p in pools)
-                for name in _POOL_SUM_FIELDS}
+        pool = _sum_blocks([w["pool"] for w in workers if w.get("pool")],
+                           _POOL_SUM_FIELDS)
         lookups = pool["hits"] + pool["misses"]
         pool["hit_rate"] = (
             round(pool["hits"] / lookups, 4) if lookups else 0.0
@@ -597,8 +609,11 @@ class ReasoningDaemon:
             "workers": workers,
             "metrics": self.metrics.as_dict(),
         }
-        if self.cache is not None:
-            payload["cache"] = self.cache.stats()
+        if self.config.cache_size > 0:
+            # Every ``QueryCache.stats()`` field sums; the block is empty
+            # until a slot has reported its cache.
+            caches = [w["cache"] for w in workers if w.get("cache")]
+            payload["cache"] = _sum_blocks(caches, caches[0] if caches else ())
         return payload
 
     async def _stats_reply(self) -> UnaryReply:

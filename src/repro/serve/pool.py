@@ -1,8 +1,8 @@
 """A bounded pool of warm reasoning sessions.
 
 The daemon's whole performance story is *session reuse*: a
-:class:`~repro.core.session.ReasoningSession` pays the KB compile (and
-CNF preprocessing) once, then answers each query as a
+:class:`~repro.core.session.ReasoningSession` pays the KB compile and
+CNF preprocessing once, then answers each query as a
 ``solve(assumptions)`` call. The pool keeps those warm sessions alive
 across requests and hands each request exclusive access to one of them.
 
@@ -111,12 +111,10 @@ class SessionPool:
     def __init__(
         self,
         max_sessions: int = 8,
-        preprocess: bool = True,
         observer=None,
         cache: QueryCache | None = None,
     ):
         self.max_sessions = max(0, max_sessions)
-        self.preprocess = preprocess
         self.observer = observer
         #: Optional shared result cache handed to every pooled executor.
         self.cache = cache
@@ -164,17 +162,13 @@ class SessionPool:
             self.stats.misses += 1
             self._in_use += 1
         session = ReasoningSession(
-            kb,
-            preprocess=self.preprocess,
-            observer=self.observer,
-            validate=False,
+            kb, observer=self.observer, validate=False
         )
         executor = QueryExecutor(
             kb,
             observer=self.observer,
             cache=self.cache,
             incremental=True,
-            preprocess=self.preprocess,
             session=session,
         )
         return PooledSession(

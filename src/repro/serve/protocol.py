@@ -84,6 +84,9 @@ ERROR_HTTP_STATUS = {
     # already respawned a replacement worker by the time the client
     # sees this.
     "worker_lost": 503,
+    # A transient condition refused the request and changed nothing (the
+    # fact log is locked by another writer); retry later.
+    "unavailable": 503,
 }
 
 _VERB_SET = frozenset(VERBS)

@@ -66,13 +66,13 @@ import time
 
 from repro.kb.registry import KnowledgeBase
 from repro.obs.metrics import MetricsRegistry
-from repro.par.cache import QueryCache
 from repro.serve.daemon import (
     DaemonConfig,
     StreamReply,
     UnaryReply,
     answer_query,
     error_reply,
+    slot_pool,
     solver_stats,
 )
 from repro.serve.pool import SessionPool
@@ -107,8 +107,8 @@ _MAX_FAST_DEATHS = 3
 # -- worker side (runs in the child process) ---------------------------------------
 
 
-def worker_main(conn, slot: int, kb_blobs: dict, pool_size: int,
-                preprocess: bool, cache_size: int = 0) -> None:
+def worker_main(conn, slot: int, kb_blobs: dict,
+                config: DaemonConfig) -> None:
     """Entry point of one solver worker process (spawn-safe).
 
     Serves messages from the supervisor pipe serially: ``exec`` (answer
@@ -125,9 +125,7 @@ def worker_main(conn, slot: int, kb_blobs: dict, pool_size: int,
         name: KnowledgeBase.from_dict(blob)
         for name, blob in kb_blobs.items()
     }
-    cache = QueryCache(cache_size) if cache_size > 0 else None
-    pool = SessionPool(max_sessions=pool_size, preprocess=preprocess,
-                       cache=cache)
+    pool = slot_pool(config)
     metrics = MetricsRegistry()
     while True:
         try:
@@ -223,7 +221,9 @@ class WorkerSupervisor:
 
     The process backend of :class:`~repro.serve.daemon.ReasoningDaemon`,
     configured by its :class:`~repro.serve.daemon.DaemonConfig`
-    (``workers``, ``pool_size``, ``cache_size``, ``preprocess``). Lives
+    (``workers``; each worker builds its own pool and cache from
+    ``pool_size`` and ``cache_size`` with
+    :func:`~repro.serve.daemon.slot_pool`). Lives
     on the daemon's event loop. All public coroutines must be awaited
     from that loop; replies from the per-worker reader threads are
     marshalled onto it with ``call_soon_threadsafe``.
@@ -304,8 +304,7 @@ class WorkerSupervisor:
         handle.shipped = {name: kb.version for name, kb in self.kbs.items()}
         process = self.ctx.Process(
             target=worker_main,
-            args=(child_conn, handle.slot, blobs, self.config.pool_size,
-                  self.config.preprocess, self.config.cache_size),
+            args=(child_conn, handle.slot, blobs, self.config),
             name=f"repro-serve-worker-{handle.slot}",
             daemon=True,
         )
@@ -616,6 +615,7 @@ class WorkerSupervisor:
                 if handle.last_pong is not None else None
             ),
             "pool": handle.last_stats.get("pool"),
+            "cache": handle.last_stats.get("cache"),
             "counters": handle.last_stats.get("counters"),
             "histograms": handle.last_stats.get("histograms"),
         } for handle in self.workers]

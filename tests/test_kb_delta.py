@@ -394,15 +394,13 @@ def _run_plan(kb: KnowledgeBase, *, delta_mode: bool) -> list[bytes]:
     always-recompile reference discards the executor after every
     mutation — the pre-delta invalidation behavior.
     """
-    executor = QueryExecutor(kb, incremental=True, preprocess=True)
+    executor = QueryExecutor(kb, incremental=True)
     out = []
     for action, payload in _build_plan():
         if action == "mutate":
             payload[1](kb)
             if not delta_mode:
-                executor = QueryExecutor(
-                    kb, incremental=True, preprocess=True
-                )
+                executor = QueryExecutor(kb, incremental=True)
             continue
         out.append(_canonical(payload.verb, executor.execute(payload)))
     return out
@@ -435,12 +433,8 @@ class TestDeltaParity:
         """Interleaved mutations+queries: absorb == recompile answers."""
         delta_kb = _kb()
         reference_kb = _kb()
-        delta_executor = QueryExecutor(
-            delta_kb, incremental=True, preprocess=True
-        )
-        reference_executor = QueryExecutor(
-            reference_kb, incremental=True, preprocess=True
-        )
+        delta_executor = QueryExecutor(delta_kb, incremental=True)
+        reference_executor = QueryExecutor(reference_kb, incremental=True)
         mismatches = []
         for index, (action, payload) in enumerate(_build_plan()):
             if action == "mutate":
@@ -449,7 +443,7 @@ class TestDeltaParity:
                 # Reference: the old invalidation story — any mutation
                 # throws away all warm state.
                 reference_executor = QueryExecutor(
-                    reference_kb, incremental=True, preprocess=True
+                    reference_kb, incremental=True
                 )
                 continue
             got = _semantic_key(payload.verb, delta_executor.execute(payload))
@@ -477,9 +471,7 @@ class TestCacheFootprints:
             )
         from repro.par.cache import QueryCache
 
-        executor = QueryExecutor(
-            kb, incremental=True, preprocess=True, cache=QueryCache(32)
-        )
+        executor = QueryExecutor(kb, incremental=True, cache=QueryCache(32))
         pinned = Query("check", _request(
             candidate_systems=["StackA"], inventory={"NIC": 2, "Box": 2},
         ))
@@ -502,6 +494,6 @@ class TestCacheFootprints:
         assert executor.cache.stats()["hits"] == hits_before + 1
         reference = QueryExecutor(
             KnowledgeBase.from_dict(kb.to_dict()),
-            incremental=True, preprocess=True,
+            incremental=True,
         ).execute(pinned)
         assert _canonical("check", third) == _canonical("check", reference)

@@ -13,6 +13,7 @@ import threading
 
 import pytest
 
+from repro.errors import StoreBusyError
 from repro.kb.hardware import Hardware, NICSpec, ServerSpec, SwitchSpec
 from repro.kb.ordering import Ordering
 from repro.kb.registry import KnowledgeBase
@@ -171,6 +172,49 @@ class TestSqliteDurability:
         store.close()
         with SqliteFactStore(path) as reopened:
             assert [f.name for f in reopened.scan()] == ["s0", "s1"]
+
+    def test_locked_write_raises_store_busy(self, tmp_path):
+        """A write refused by another writer's lock is the typed,
+        retryable StoreBusyError, and writes nothing."""
+        import sqlite3
+
+        path = str(tmp_path / "facts.sqlite")
+        store = SqliteFactStore(path, timeout=0.05)
+        store.append("upsert", "system", "s0", {})
+        holder = sqlite3.connect(path, isolation_level=None)
+        holder.execute("BEGIN IMMEDIATE")
+        try:
+            with pytest.raises(StoreBusyError, match="locked"):
+                store.append("upsert", "system", "s1", {})
+        finally:
+            holder.execute("ROLLBACK")
+            holder.close()
+        assert store.latest_seq == 1
+        assert store.append("upsert", "system", "s1", {}).seq == 2
+        store.close()
+
+    @pytest.mark.parametrize("code, message, busy", [
+        (5, "database is locked", True),           # SQLITE_BUSY
+        (6, "database table is locked", True),     # SQLITE_LOCKED
+        (5 | (1 << 8), "database is locked", True),  # SQLITE_BUSY_RECOVERY
+        (1, "no such table: facts", False),        # SQLITE_ERROR
+        (None, "database is locked", True),        # raised without a code
+        (None, "no such table: facts", False),
+        ("absent", "database is locked", True),    # no attribute at all
+        ("absent", "disk I/O error", False),
+    ])
+    def test_busy_classification(self, code, message, busy):
+        """The busy check reads the result code where the error carries
+        one and its message otherwise, so it holds on interpreters whose
+        sqlite3 errors have no ``sqlite_errorcode``."""
+        import sqlite3
+
+        from repro.kb.store.sqlite import _is_busy
+
+        exc = sqlite3.OperationalError(message)
+        if code != "absent":
+            exc.sqlite_errorcode = code
+        assert _is_busy(exc) is busy
 
     def test_reopen_mid_log_resumes_at_committed_seq(self, tmp_path):
         """Crash recovery: every append commits; reopen loses nothing."""

@@ -8,8 +8,9 @@ Covers the invariants the pipeline refactor introduced:
   caching with per-verb hit/miss metrics;
 - deletion-based MUS minimization is one-pass (solver-call count pinned);
 - session-vs-fresh differential parity: minimal conflict sets and
-  equivalence-class partitions are identical under ``incremental`` and
-  ``preprocess`` on/off, over a fuzzed request population.
+  equivalence-class partitions are identical with ``incremental`` on
+  (a preprocessed session) and off (a fresh compile), over a fuzzed
+  request population.
 """
 
 from __future__ import annotations
@@ -80,8 +81,8 @@ class TestQueryIR:
 
     def test_cache_key_covers_executor_config(self, tiny_kb):
         query = Query("check", _request())
-        assert query.cache_key(tiny_kb, "inc=1;pp=1") != query.cache_key(
-            tiny_kb, "inc=0;pp=1"
+        assert query.cache_key(tiny_kb, "inc=1") != query.cache_key(
+            tiny_kb, "inc=0"
         )
 
 
@@ -399,11 +400,12 @@ class TestMinimizeCoreIsOnePass:
 # ---------------------------------------------------------------------------
 
 
+#: ``(incremental,)``: a session (which preprocesses its compiled base)
+#: against a fresh compile (which never preprocesses), so parity also
+#: shows that preprocessing changes no verdict, conflict or partition.
 _CONFIGS = (
-    (True, True),
-    (True, False),
-    (False, True),
-    (False, False),
+    (True,),
+    (False,),
 )
 
 
@@ -448,9 +450,7 @@ class TestSessionFreshParity:
     def test_diagnose_parity_over_fuzzed_requests(self, tiny_kb):
         requests = _fuzzed_requests(seed=1338, count=60)
         engines = {
-            config: ReasoningEngine(
-                tiny_kb, incremental=config[0], preprocess=config[1]
-            )
+            config: ReasoningEngine(tiny_kb, incremental=config[0])
             for config in _CONFIGS
         }
         infeasible = 0
@@ -459,7 +459,7 @@ class TestSessionFreshParity:
                 config: engines[config].diagnose(request)
                 for config in _CONFIGS
             }
-            reference = conflicts[(True, True)]
+            reference = conflicts[(True,)]
             for config, conflict in conflicts.items():
                 if reference is None:
                     assert conflict is None, (i, config)
@@ -476,9 +476,7 @@ class TestSessionFreshParity:
     def test_equivalence_parity_over_fuzzed_requests(self, tiny_kb):
         requests = _fuzzed_requests(seed=90125, count=48)
         engines = {
-            config: ReasoningEngine(
-                tiny_kb, incremental=config[0], preprocess=config[1]
-            )
+            config: ReasoningEngine(tiny_kb, incremental=config[0])
             for config in _CONFIGS
         }
         nonempty = 0
@@ -492,7 +490,7 @@ class TestSessionFreshParity:
                 ]
                 for config in _CONFIGS
             }
-            reference = partitions[(True, True)]
+            reference = partitions[(True,)]
             for config, partition in partitions.items():
                 assert partition == reference, (i, config)
             if reference:

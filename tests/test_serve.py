@@ -158,9 +158,7 @@ class _DirectMirror:
         key = (kb_name, shape_key(request))
         executor = self._executors.get(key)
         if executor is None:
-            executor = QueryExecutor(
-                self.kbs[kb_name], incremental=True, preprocess=True
-            )
+            executor = QueryExecutor(self.kbs[kb_name], incremental=True)
             self._executors[key] = executor
         if verb == "explain":
             outcome = executor.execute(Query("check", request))
@@ -249,7 +247,7 @@ class TestDifferentialParity:
                 )
                 if daemon_bytes != expected:
                     mismatches.append((i, kb_name, verb))
-            pool_stats = daemon.pool.stats_dict()
+            pool_stats = daemon.stats_payload()["pool"]
         assert mismatches == []
         # The pool must have been doing its job (reuse, no eviction) or
         # the trajectory-parity argument above would be vacuous.

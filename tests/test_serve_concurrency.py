@@ -114,7 +114,7 @@ class TestConcurrentIsolation:
             for thread in threads:
                 thread.join(timeout=90)
                 assert not thread.is_alive(), "client thread hung"
-            stats = daemon.pool.stats_dict()
+            stats = daemon.stats_payload()["pool"]
             inflight = daemon.admission.inflight
 
         assert failures == []
@@ -137,7 +137,7 @@ class TestConcurrentIsolation:
                     "check", _request(f"shape{i}"), kb="feasible",
                 ))
                 assert payload["ok"], payload
-            stats = daemon.pool.stats_dict()
+            stats = daemon.stats_payload()["pool"]
         assert stats["idle"] <= 2
         assert stats["size"] <= 4
         assert stats["evictions"] + stats["discarded_overflow"] > 0

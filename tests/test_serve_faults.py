@@ -62,14 +62,18 @@ def _request() -> DesignRequest:
     ])
 
 
+def _pool_in_use(daemon) -> int:
+    return daemon.stats_payload()["pool"]["in_use"]
+
+
 def _wait_pool_quiesced(daemon, deadline_s: float = 5.0) -> None:
     deadline = time.monotonic() + deadline_s
     while time.monotonic() < deadline:
-        if daemon.pool.in_use == 0 and daemon.admission.inflight == 0:
+        if _pool_in_use(daemon) == 0 and daemon.admission.inflight == 0:
             return
         time.sleep(0.02)
     raise AssertionError(
-        f"pool did not quiesce: in_use={daemon.pool.in_use} "
+        f"pool did not quiesce: in_use={_pool_in_use(daemon)} "
         f"inflight={daemon.admission.inflight}"
     )
 
@@ -247,7 +251,7 @@ class TestSolverFaults:
             # The corrupted session must have been discarded, and the
             # next request (fault removed) gets a clean replacement.
             monkeypatch.setattr(ReasoningSession, "view", original)
-            assert daemon.pool.stats.discarded_poisoned == 1
+            assert daemon.stats_payload()["pool"]["discarded_poisoned"] == 1
             payload = client.query(make_envelope("check", _request()))
             assert payload["ok"] is True
         _wait_pool_quiesced(daemon)
@@ -280,6 +284,6 @@ class TestSolverFaults:
             )).result(timeout=10)
             assert refused.payload["ok"] is False
             assert refused.payload["error"]["code"] == "draining"
-            assert daemon.pool.in_use == 0
+            assert _pool_in_use(daemon) == 0
         finally:
             harness.stop()

@@ -197,7 +197,7 @@ class TestWarmPathSurvival:
                 assert harness.query(
                     make_envelope("check", _request())
                 )["ok"]
-            stats = daemon.pool.stats_dict()
+            stats = daemon.stats_payload()["pool"]
             assert stats["evictions"] == 0
             assert stats["misses"] == 1
             assert stats["hits"] == 3
@@ -220,16 +220,16 @@ class TestWarmPathSurvival:
             # Disjoint hardware: the pinned entry survives and hits.
             assert harness.query(_put([_new_nic_op("Offside")]))["ok"]
             assert harness.query(pinned)["result"]["feasible"] is True
-            stats = daemon.cache.stats()
+            stats = daemon.stats_payload()["cache"]
             assert (stats["hits"], stats["size"]) == (1, 1)
             # Intersecting delta that flips the verdict: the post-delta
             # answer comes back, from a fresh key.
             assert harness.query(_put([_outlaw_op()]))["ok"]
             assert harness.query(pinned)["result"]["feasible"] is False
-            stats = daemon.cache.stats()
+            stats = daemon.stats_payload()["cache"]
             assert (stats["hits"], stats["size"]) == (1, 2)
             assert harness.query(pinned)["result"]["feasible"] is False
-            assert daemon.cache.stats()["hits"] == 2
+            assert daemon.stats_payload()["cache"]["hits"] == 2
 
 
 class TestThreadedWorkersParity:
@@ -383,3 +383,45 @@ class TestStorePersistence:
             reborn = KnowledgeBase.from_store(replay)
         assert reborn.fingerprint() == fingerprint
         assert "NewNIC" not in reborn.hardware
+
+    def test_locked_log_replies_unavailable_and_changes_nothing(
+        self, tmp_path
+    ):
+        """A fact-log write refused by another writer's lock (an offline
+        ``repro ingest --kb-store`` holding the file) is a retryable 503
+        ``unavailable``, not an ``internal`` 500; nothing changes, and
+        the same PUT succeeds once the lock is gone."""
+        import sqlite3
+
+        path = str(tmp_path / "kb.sqlite")
+        kb = _kb()
+        store = SqliteFactStore(path, timeout=0.05)
+        kb.attach_store(store, snapshot=True)
+        logged, version = store.latest_seq, kb.version
+        daemon = ReasoningDaemon(kb, DaemonConfig(port=None))
+        holder = sqlite3.connect(path, isolation_level=None)
+        with InprocDaemon(daemon) as harness:
+            holder.execute("BEGIN IMMEDIATE")
+            reply = harness.submit(
+                daemon.handle(_put([_outlaw_op()]))
+            ).result(60)
+            assert reply.status == 503
+            assert reply.payload["error"]["code"] == "unavailable"
+            assert daemon.kbs["default"] is kb
+            assert kb.version == version and kb.store is store
+            assert store.latest_seq == logged
+            holder.execute("ROLLBACK")
+            reply = harness.submit(
+                daemon.handle(_put([_outlaw_op()]))
+            ).result(60)
+            assert reply.status == 200, reply.payload
+            served = daemon.kbs["default"]
+            assert served.version == reply.payload["result"]["version"]
+            assert store.latest_seq == logged + 1
+            fingerprint = served.fingerprint()
+        holder.close()
+        store.close()
+        with SqliteFactStore(path) as replay:
+            assert KnowledgeBase.from_store(replay).fingerprint() == (
+                fingerprint
+            )

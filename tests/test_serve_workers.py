@@ -15,9 +15,9 @@ Four obligations, mirroring the daemon's threaded-mode guarantees:
 3. **Loss is structured.** SIGKILLing a worker mid-solve yields a
    ``worker_lost`` error payload (never a hang), the slot respawns, and
    the daemon keeps serving.
-4. **Aggregation.** ``/stats`` reports worker pools summed and
-   solve-latency histograms merged across processes, in the same shape
-   as threaded mode.
+4. **Aggregation.** ``/stats`` reports worker pools and caches summed
+   and solve-latency histograms merged across processes, in the same
+   shape as threaded mode.
 """
 
 from __future__ import annotations
@@ -545,6 +545,32 @@ class TestStatsAggregation:
             hist = stats["solve_latency"]["solve_latency.check"]
             assert hist["count"] == 3
             assert hist["total"] > 0
+
+    def test_stats_sum_the_workers_caches(self):
+        """Process mode reports the caches its workers answer from; the
+        front end holds no pool or cache of its own."""
+        daemon = ReasoningDaemon(
+            _kb(), DaemonConfig(port=None, workers=2, cache_size=8)
+        )
+        with InprocDaemon(daemon) as harness:
+            for i in range(3):
+                payload = harness.query(
+                    make_envelope("check", _request(), request_id=f"q{i}")
+                )
+                assert payload["ok"] is True
+            harness.submit(
+                daemon._supervisor.refresh_stats(timeout=30)
+            ).result(60)
+            stats = daemon.stats_payload()
+        cache = stats["cache"]
+        assert cache["hits"] >= 2
+        assert cache["hits"] + cache["misses"] == 3
+        assert cache["maxsize"] == 2 * daemon.config.cache_size
+        assert cache == {
+            name: sum(w["cache"][name] for w in stats["workers"])
+            for name in cache
+        }
+        assert not hasattr(daemon, "pool") and not hasattr(daemon, "cache")
 
     def test_stop_terminates_every_worker(self):
         daemon = ReasoningDaemon(

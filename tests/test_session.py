@@ -175,9 +175,9 @@ class TestEngineIntegration:
         request = _request()
         keys = {
             request_cache_key("check", tiny_kb, request, config)
-            for config in ("", "inc=0;pp=1", "inc=1;pp=1", "inc=1;pp=0")
+            for config in ("", "inc=0", "inc=1")
         }
-        assert len(keys) == 4
+        assert len(keys) == 3
         inc = ReasoningEngine(tiny_kb, cache=QueryCache(), incremental=True)
         fresh = ReasoningEngine(tiny_kb, cache=QueryCache(), incremental=False)
         query = Query("check", request)
