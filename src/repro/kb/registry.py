@@ -166,21 +166,10 @@ class KnowledgeBase:
     # -- change tracking ----------------------------------------------------------
 
     def _mutated(self, *keys: EntityKey) -> None:
-        """Record a mutation touching *keys*.
-
-        Calling with no keys marks an untracked mutation: every cached
-        per-entity hash is dropped and the journal is truncated so
-        consumers behind this version see "unknown changes" and fully
-        invalidate — the safe answer for writes that bypass the typed
-        mutators.
-        """
+        """Record a mutation touching *keys* (every mutator names at
+        least one)."""
         self._version += 1
         self._fingerprint_cache = None
-        if not keys:
-            self._entity_fps.clear()
-            self._journal.clear()
-            self._journal_floor = self._version
-            return
         for key in keys:
             self._entity_fps.pop(key, None)
             self._journal.append((self._version, key))
@@ -197,8 +186,10 @@ class KnowledgeBase:
         """Entity keys touched after *since_version*.
 
         Returns ``None`` when the journal no longer reaches back that
-        far (or an untracked mutation intervened) — callers must treat
-        that as "anything may have changed".
+        far — callers must treat that as "anything may have changed".
+        Versions are only comparable within one KB's lineage (the object
+        and its ``deepcopy`` forks); a KB rebuilt by :meth:`from_dict`
+        starts a new one.
         """
         if since_version >= self._version:
             return frozenset()
@@ -355,20 +346,15 @@ class KnowledgeBase:
     def from_store(cls, store: "FactStore") -> "KnowledgeBase":
         """Rebuild a KB by replaying *store*'s fact log, then attach it."""
         kb = cls()
-        for fact in store.scan():
-            kb._apply_fact(fact.op, fact.kind, fact.name, fact.payload)
+        kb.apply_entity_delta(
+            [fact.to_op() for fact in store.scan()], strict=False
+        )
         kb._store = store
         return kb
 
     def _record_fact(self, op: str, kind: str, name: str, payload=None) -> None:
         if self._store is not None:
             self._store.append(op, kind, name, payload)
-
-    def _apply_fact(self, op: str, kind: str, name: str, payload) -> None:
-        """Replay one logged fact (used by :meth:`from_store`)."""
-        self.apply_entity_delta(
-            [_fact_to_op(op, kind, name, payload)], strict=False
-        )
 
     # -- registration -------------------------------------------------------------
 
@@ -604,45 +590,6 @@ class KnowledgeBase:
                 f"malformed delta op for {kind}/{name}: {exc!r}"
             ) from exc
 
-    def delta_ops_for(self, keys: Iterable[EntityKey]) -> list[dict]:
-        """Wire-format ops reproducing this KB's current state of *keys*.
-
-        Membership keys carry no state of their own and are skipped;
-        applying the result to any KB state makes it agree with this one
-        on every listed entity.
-        """
-        ops: list[dict] = []
-        for kind, name in sorted(set(keys)):
-            if kind == "system":
-                entity = self.systems.get(name)
-                if entity is None:
-                    ops.append({"op": "remove", "entity": "system", "name": name})
-                else:
-                    ops.append({"op": "upsert", "entity": "system",
-                                "name": name, "payload": entity.to_dict()})
-            elif kind == "hardware":
-                entity = self.hardware.get(name)
-                if entity is None:
-                    ops.append({"op": "remove", "entity": "hardware",
-                                "name": name})
-                else:
-                    ops.append({"op": "upsert", "entity": "hardware",
-                                "name": name, "payload": entity.to_dict()})
-            elif kind == "rule":
-                entity = self.rules.get(name)
-                if entity is None:
-                    ops.append({"op": "remove", "entity": "rule", "name": name})
-                else:
-                    ops.append({"op": "upsert", "entity": "rule",
-                                "name": name, "payload": entity.to_dict()})
-            elif kind == "ordering":
-                edges = [ordering_to_dict(o) for o in self.orderings
-                         if o.dimension == name]
-                ops.append({"op": "set_orderings", "entity": "ordering",
-                            "name": name, "payload": edges})
-            # membership keys ("systems@" etc.) are derived — skipped
-        return ops
-
     def merge(self, other: "KnowledgeBase") -> "KnowledgeBase":
         """Fold another KB into this one (crowd-sourced contribution)."""
         for system in other.systems.values():
@@ -835,10 +782,3 @@ class KnowledgeBase:
     def from_json(cls, text: str) -> "KnowledgeBase":
         return cls.from_dict(json.loads(text))
 
-
-def _fact_to_op(op: str, kind: str, name: str, payload) -> dict:
-    """Rebuild the wire-op shape from stored fact fields."""
-    wire: dict = {"op": op, "entity": kind, "name": name}
-    if payload is not None:
-        wire["payload"] = payload
-    return wire

@@ -306,6 +306,9 @@ class ThreadBackend:
         finally:
             self.pool.checkin(pooled)
 
+    def publish_delta(self, kb_name: str, ops: list[dict]) -> None:
+        pass  # checkout rebinds each session to the served KB
+
     async def refresh_stats(self, timeout: float) -> None:
         pass  # the local snapshot is always current
 
@@ -352,7 +355,7 @@ class ReasoningDaemon:
         self.kbs = dict(kbs)
         self.config = config or DaemonConfig()
         self.metrics = MetricsRegistry()
-        #: Serializes KB mutations (copy-on-write swap + worker ship).
+        #: Serializes KB mutations (copy-on-write swap + delta publish).
         self._kb_lock = asyncio.Lock()
         self.admission = AdmissionController(
             self.config.max_inflight, self.config.queue_limit
@@ -514,14 +517,18 @@ class ReasoningDaemon:
 
         The delta is applied to a *copy* of the KB and validated there,
         so a malformed or invalidating delta is rejected whole — the
-        served KB is never half-mutated. On success the copy (whose
-        mutation journal continues the original's, thanks to
-        ``KnowledgeBase.__deepcopy__``) replaces the served instance
-        once the ops are in the attached fact store (if any), and worker
-        processes receive the delta lazily on their next routed request.
-        Nothing else reacts: pooled sessions keep their keys and absorb
-        the delta in place on their next query, and cache entries the
-        delta can change stop being addressable.
+        served KB is never half-mutated. The ops are then written to the
+        attached fact store (if any) on a thread, so a store that waits
+        on another writer's lock stalls only this update, never the
+        event loop. Once the write returns, the copy (whose mutation
+        journal continues the original's, thanks to
+        ``KnowledgeBase.__deepcopy__``) replaces the served instance and
+        the backend's ``publish_delta`` replays the same ops on every
+        worker process, with no ``await`` in between, so any request
+        routed afterwards sees the update. Nothing else reacts: pooled
+        sessions keep their keys and absorb the delta in place on their
+        next query, and cache entries the delta can change stop being
+        addressable.
         """
         kb_name, ops = decode_kb_update(envelope)
         async with self._kb_lock:
@@ -538,16 +545,17 @@ class ReasoningDaemon:
             if store is not None:
                 # One all-or-none write: if it fails, the served KB, its
                 # store and the log stay exactly as they were.
-                store.extend(
+                await asyncio.to_thread(store.extend, [
                     (op["op"],
                      "ordering" if op["op"] in _ORDERING_OPS
                      else op["entity"],
                      op["name"], op.get("payload"))
                     for op in ops
-                )
+                ])
                 kb.detach_store()
                 evolved.attach_store(store, snapshot=False)
             self.kbs[kb_name] = evolved
+            self._backend.publish_delta(kb_name, ops)
             self.metrics.incr("kb.updates")
             self.metrics.set_gauge(f"kb.version.{kb_name}", evolved.version)
             result = {

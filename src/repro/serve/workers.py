@@ -17,7 +17,7 @@ Layout::
     front-end process (asyncio)            worker process (x N)
     ---------------------------            -----------------------------
     parse / admit / rate-limit             worker_main():
-    WorkerSupervisor.submit()                recv exec/ping/load_kb/...
+    WorkerSupervisor.submit()                recv exec/ping/apply_delta/...
       route: fewest in flight,  --pipe-->    SessionPool checkout
       ties in the key's ring
       order (forwards the envelope)          answer_query()
@@ -46,11 +46,14 @@ Design rules:
    message, so a worker never dies halfway through one.
 3. **Spawn-safe.** Workers are started with the ``spawn`` method: the
    entry point is a top-level function and knowledge bases are shipped
-   as their JSON serialization, never pickled live objects. KB mutations
-   in the front-end are re-shipped lazily, keyed by KB version: when the
-   front-end KB's mutation journal still covers the version a worker
-   holds, only the changed entities travel as an
-   ``apply_delta`` op list instead of the whole KB.
+   as their JSON serialization, never pickled live objects.
+4. **Each KB update is replayed as it is applied.** A ``PUT /kb`` hands
+   its ops to :meth:`WorkerSupervisor.publish_delta`, which queues one
+   ``apply_delta`` message on every running worker's pipe before any
+   later request can be routed. A worker mutates its one KB object in
+   place and never replaces it, so its warm sessions only ever compare
+   versions of one lineage. A worker spawned later boots from the
+   served KB, which already holds the update.
 """
 
 from __future__ import annotations
@@ -115,9 +118,8 @@ def worker_main(conn, slot: int, kb_blobs: dict,
     the forwarded request envelope on the worker-local session pool with
     :func:`~repro.serve.daemon.answer_query`, and send back a ``reply``
     header line followed by the reply's bytes), ``ping`` (heartbeat —
-    answered with a full stats snapshot), ``load_kb`` (replace a KB from
-    its JSON serialization after a front-end mutation), ``apply_delta``
-    (mutate a KB in place from a front-end delta — warm sessions absorb
+    answered with a full stats snapshot), ``apply_delta`` (replay a
+    ``PUT /kb`` delta on the worker's KB in place — warm sessions absorb
     it on their next query), ``shutdown``. Exits on pipe EOF so an
     orphaned worker can never outlive its daemon.
     """
@@ -145,9 +147,6 @@ def worker_main(conn, slot: int, kb_blobs: dict,
                     "kind": "pong", "seq": msg.get("seq", 0), "slot": slot,
                     "stats": solver_stats(pool, metrics),
                 }))
-            elif kind == "load_kb":
-                kbs[msg["name"]] = KnowledgeBase.from_dict(msg["payload"])
-                metrics.incr("kb_loads")
             elif kind == "apply_delta":
                 kb = kbs.get(msg["name"])
                 if kb is not None:
@@ -157,8 +156,8 @@ def worker_main(conn, slot: int, kb_blobs: dict,
                 envelope = msg["envelope"]
                 request_id = envelope.get("id")
                 try:
-                    # The front end already validated this envelope and
-                    # shipped its KB; a failure here is internal.
+                    # The front end already validated this envelope; a
+                    # failure here is internal.
                     kb_name, query, stream = envelope_to_query(envelope)
                     pooled = pool.checkout(kb_name, kbs[kb_name], query)
                 except Exception as exc:  # noqa: BLE001 - becomes a reply
@@ -195,8 +194,6 @@ class _WorkerHandle:
         self.send_q: queue.Queue | None = None
         #: request id -> future resolved with the worker's reply.
         self.pending: dict[int, asyncio.Future] = {}
-        #: kb name -> the KB version the worker currently holds.
-        self.shipped: dict[str, int] = {}
         self.restarts = 0
         self.fast_deaths = 0
         self.started_at: float | None = None
@@ -301,7 +298,6 @@ class WorkerSupervisor:
     def _spawn(self, handle: _WorkerHandle) -> None:
         parent_conn, child_conn = self.ctx.Pipe(duplex=True)
         blobs = {name: kb.to_dict() for name, kb in self.kbs.items()}
-        handle.shipped = {name: kb.version for name, kb in self.kbs.items()}
         process = self.ctx.Process(
             target=worker_main,
             args=(child_conn, handle.slot, blobs, self.config),
@@ -517,54 +513,39 @@ class WorkerSupervisor:
     def _enqueue(self, handle: _WorkerHandle, payload: dict) -> None:
         handle.send_q.put(canonical_json(payload))
 
-    def _ship_kb(self, handle: _WorkerHandle, kb_name: str,
-                 kb: KnowledgeBase) -> None:
-        """Bring the worker's copy of *kb_name* up to date, cheaply.
+    def publish_delta(self, kb_name: str, ops: list[dict]) -> None:
+        """Queue a ``PUT /kb`` delta on every running worker's pipe.
 
-        When the KB's mutation journal still reaches back to the version
-        the worker holds, only the changed entities are shipped as an
-        ``apply_delta`` op list — the worker mutates its KB in place and
-        its warm sessions survive. The full JSON serialization is the
-        fallback (first ship, journal overflow, or an untracked
-        mutation). Versions only grow along a served KB's lineage (a
-        ``PUT /kb`` copy continues its original's journal), so the
-        version alone says whether the worker is current; nothing on
-        this path hashes the KB.
+        Called right after the front end swaps in the updated KB, with no
+        ``await`` in between, so every request routed afterwards queues
+        behind the delta. A slot with no process (unstarted or disabled)
+        is skipped: a worker spawned later boots from ``self.kbs``, which
+        already holds the update.
         """
-        held = handle.shipped.get(kb_name)
-        if held == kb.version:
-            return
-        handle.shipped[kb_name] = kb.version
-        changed = (
-            kb.changed_entities(held) if held is not None else None
-        )
-        if changed is not None:
-            self.metrics.incr("workers.kb_delta_shipped")
-            self._enqueue(handle, {
-                "kind": "apply_delta", "name": kb_name,
-                "ops": kb.delta_ops_for(changed),
-            })
-            return
-        self.metrics.incr("workers.kb_shipped")
-        self._enqueue(handle, {
-            "kind": "load_kb", "name": kb_name, "payload": kb.to_dict(),
+        data = canonical_json({
+            "kind": "apply_delta", "name": kb_name, "ops": ops,
         })
+        for handle in self.workers:
+            if handle.process is None or handle.send_q is None:
+                continue
+            self.metrics.incr("workers.kb_delta_shipped")
+            handle.send_q.put(data)
 
     async def submit(self, request_id, kb_name: str, kb: KnowledgeBase,
                      query, stream: bool, envelope: dict):
         """Answer *query* on a worker and return its reply.
 
         The decoded envelope is forwarded as-is, so the worker sees every
-        field the client sent; *query* only picks the worker. Raises
-        :class:`WireError` — code ``worker_lost`` if the assigned worker
-        dies first.
+        field the client sent; *query* only picks the worker. *kb* is
+        not read: each worker holds its own copy, kept current by
+        :meth:`publish_delta`. Raises :class:`WireError` — code
+        ``worker_lost`` if the assigned worker dies first.
         """
         if not self.started:
             # A daemon driven through handle() without start() (in-process
             # harnesses) spins its workers up on first use.
             await self.start()
         handle = self.route(kb_name, query)
-        self._ship_kb(handle, kb_name, kb)
         self._rid += 1
         future = self._loop.create_future()
         handle.pending[self._rid] = future

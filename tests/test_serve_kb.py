@@ -19,6 +19,8 @@ The serving obligations for live catalog growth:
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.core.design import DesignRequest
@@ -425,3 +427,35 @@ class TestStorePersistence:
             assert KnowledgeBase.from_store(replay).fingerprint() == (
                 fingerprint
             )
+
+    def test_locked_log_stalls_only_the_update(self, tmp_path):
+        """While a PUT waits out another writer's lock on the fact log,
+        queries beside it are answered at once; the PUT still replies
+        ``unavailable`` when the lock outlasts the store's timeout."""
+        import sqlite3
+
+        path = str(tmp_path / "kb.sqlite")
+        kb = _kb()
+        store = SqliteFactStore(path, timeout=2.0)
+        kb.attach_store(store, snapshot=True)
+        daemon = ReasoningDaemon(kb, DaemonConfig(port=None))
+        holder = sqlite3.connect(path, isolation_level=None)
+        with InprocDaemon(daemon) as harness:
+            assert harness.query(make_envelope("check", _request()))["ok"]
+            holder.execute("BEGIN IMMEDIATE")
+            put = harness.submit(daemon.handle(_put([_outlaw_op()])))
+            time.sleep(0.2)  # the PUT is now waiting on the lock
+            start = time.monotonic()
+            reply = harness.submit(
+                daemon.handle(make_envelope("check", _request()))
+            ).result(60)
+            elapsed = time.monotonic() - start
+            assert not put.done()
+            assert reply.status == 200 and elapsed < 1.0, elapsed
+            put_reply = put.result(60)
+            assert put_reply.status == 503
+            assert put_reply.payload["error"]["code"] == "unavailable"
+            assert daemon.kbs["default"] is kb
+            holder.execute("ROLLBACK")
+        holder.close()
+        store.close()

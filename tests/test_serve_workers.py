@@ -34,6 +34,7 @@ import pytest
 
 from repro.core.compile import request_entity_scope
 from repro.core.design import DesignRequest
+from repro.core.engine import ReasoningEngine
 from repro.core.query import Query
 from repro.kb.hardware import Hardware, NICSpec, ServerSpec
 from repro.kb.registry import KnowledgeBase
@@ -41,7 +42,7 @@ from repro.kb.rules import Rule
 from repro.kb.system import System
 from repro.kb.workload import Workload
 from repro.kb.dsl import obj
-from repro.logic.ast import TRUE, Not
+from repro.logic.ast import FALSE, TRUE, Not
 from repro.serve import DaemonConfig, InprocDaemon, ReasoningDaemon
 from repro.serve.client import make_envelope
 from repro.serve import workers
@@ -119,6 +120,15 @@ def _parity_envelopes() -> list[dict]:
     ]
 
 
+def _put(ops: list[dict]) -> dict:
+    return {"verb": "put_kb", "kb": "default", "ops": ops}
+
+
+def _upsert(kind: str, name: str, entity) -> dict:
+    return {"op": "upsert", "entity": kind, "name": name,
+            "payload": entity.to_dict()}
+
+
 class TestProcessParity:
     def test_byte_parity_with_threaded_daemon_across_all_verbs(self):
         """Workers answer every verb byte-identically to threaded mode."""
@@ -146,14 +156,42 @@ class TestProcessParity:
             assert first["ok"] and first["result"]["feasible"] is True
             # Outlaw the objective: the previously feasible request must
             # now come back infeasible through the same worker pool.
-            kb.add_rule(Rule(name="outlawed",
-                             formula=Not(obj("packet_processing"))))
+            assert harness.query(_put([_upsert("rule", "outlawed", Rule(
+                name="outlawed", formula=Not(obj("packet_processing")),
+            ))]))["ok"]
             second = harness.query(make_envelope("check", _request()))
             assert second["ok"] and second["result"]["feasible"] is False
-            # The journaled mutation travels as an entity delta, not a
-            # full KB re-serialization.
+            # The update travels as its ops, never as a full KB
+            # re-serialization.
             assert daemon.metrics.counter("workers.kb_delta_shipped") >= 1
             assert daemon.metrics.counter("workers.kb_shipped") == 0
+
+    def test_a_long_write_feed_never_leaves_a_warm_session_stale(self):
+        """More updates than the KB's change journal holds, then one that
+        makes every stack undeployable: a warm worker session must answer
+        like a fresh compile of the served KB."""
+        daemon = ReasoningDaemon(_kb(), DaemonConfig(port=None, workers=2))
+        with InprocDaemon(daemon) as harness:
+            warm = harness.query(make_envelope("check", _request()))
+            assert warm["ok"] and warm["result"]["feasible"] is True
+            for i in range(1100):
+                assert harness.query(_put([_upsert("hardware", "NIC", Hardware(
+                    spec=NICSpec(model="NIC", rate_gbps=25, power_w=10,
+                                 cost_usd=200 + i % 2),
+                    max_units=4,
+                ))]))["ok"]
+            assert harness.query(_put([
+                _upsert("system", name, System(
+                    name=name, category="network_stack",
+                    solves=["packet_processing"], requires=FALSE,
+                ))
+                for name in ("StackA", "StackB")
+            ]))["ok"]
+            reply = harness.query(make_envelope("check", _request()))
+            served = daemon.kbs["default"]
+        fresh = ReasoningEngine(served, incremental=False).check(_request())
+        assert fresh.feasible is False
+        assert reply["ok"] and reply["result"]["feasible"] is fresh.feasible
 
 
 class _StubProcess:
@@ -327,14 +365,13 @@ class TestShapeKeyedRing:
         assert len(set(before)) == 2
 
     def test_request_path_hashes_no_kb_state(self, monkeypatch):
-        """Pool checkout, routing and shipping a delta to the worker
+        """Pool checkout, routing and publishing a delta to the workers
         never fingerprint the KB: the session is the one place that
         reacts to a KB change."""
         supervisor = _idle_supervisor(2)
         kb = supervisor.kbs["default"]
         handle = supervisor.workers[0]
         handle.send_q = queue.Queue()
-        handle.shipped = {"default": kb.version}
         pool = SessionPool(max_sessions=2)
         query = Query("check", _request())
         pool.checkin(pool.checkout("default", kb, query))
@@ -353,13 +390,15 @@ class TestShapeKeyedRing:
         stats = pool.stats_dict()
         assert (stats["hits"], stats["misses"], stats["rekeyed"]) == (1, 2, 1)
         assert supervisor.route("default", query).alive
-        supervisor._ship_kb(handle, "default", kb)
-        supervisor._ship_kb(handle, "default", kb)
+        ops = [_upsert("hardware", "NewNIC", _nic("NewNIC"))]
+        supervisor.publish_delta("default", ops)
         message = json.loads(handle.send_q.get_nowait())
-        assert message["kind"] == "apply_delta"
-        assert [op["name"] for op in message["ops"]] == ["NewNIC"]
+        assert message == {"kind": "apply_delta", "name": "default",
+                           "ops": ops}
         assert handle.send_q.empty()
-        assert handle.shipped == {"default": kb.version}
+        # The other slot has a process but no pipe yet: nothing queued.
+        assert supervisor.workers[1].send_q is None
+        assert supervisor.metrics.counter("workers.kb_delta_shipped") == 1
 
 
 class TestConcurrentRouting:
@@ -487,6 +526,37 @@ class TestWorkerLoss:
                 make_envelope("check", request, request_id="after"),
             )
             assert after["ok"] is True
+        finally:
+            harness.stop()
+
+
+    def test_worker_killed_after_a_put_kb_respawns_on_the_updated_kb(
+        self, monkeypatch
+    ):
+        """A worker respawned after a ``PUT /kb`` boots from the served
+        KB, so it answers with the update applied."""
+        monkeypatch.setattr(workers, "HEARTBEAT_INTERVAL_S", 0.2)
+        daemon = ReasoningDaemon(_kb(), DaemonConfig(port=None, workers=2))
+        harness = InprocDaemon(daemon).start()
+        try:
+            first = harness.query(make_envelope("check", _request()))
+            assert first["ok"] and first["result"]["feasible"] is True
+            assert harness.query(_put([_upsert("rule", "outlawed", Rule(
+                name="outlawed", formula=Not(obj("packet_processing")),
+            ))]))["ok"]
+            supervisor = daemon._supervisor
+            old_pids = [handle.pid for handle in supervisor.workers]
+            for pid in old_pids:
+                os.kill(pid, signal.SIGKILL)
+            deadline = time.monotonic() + 60
+            while time.monotonic() < deadline and not all(
+                handle.alive and handle.pid != old
+                for handle, old in zip(supervisor.workers, old_pids)
+            ):
+                time.sleep(0.02)
+            assert all(handle.restarts == 1 for handle in supervisor.workers)
+            after = harness.query(make_envelope("check", _request()))
+            assert after["ok"] and after["result"]["feasible"] is False
         finally:
             harness.stop()
 
