@@ -48,6 +48,7 @@ Typical use::
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field, replace
 
 from repro.core.compile import (
@@ -144,12 +145,15 @@ class ReasoningSession:
         self._scope: frozenset = frozenset()
         self._totalizers: dict = {}
         #: Sessions answer verbs through the same pipeline as the
-        #: engine, with this session as the compile-once backend.
+        #: engine, with this session as the compile-once backend. The
+        #: executor holds the session through a weak proxy: a strong
+        #: reference would make a cycle, and a dropped session (one the
+        #: pool evicts, say) would keep its solver until the cyclic GC.
         self._executor = QueryExecutor(
             kb,
             observer=observer,
             incremental=True,
-            session=self,
+            session=weakref.proxy(self),
         )
 
     @property

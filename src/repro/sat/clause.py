@@ -29,7 +29,7 @@ no longer allocates it anywhere.
 from __future__ import annotations
 
 from array import array
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 
 
 class ClauseArena:
@@ -46,11 +46,10 @@ class ClauseArena:
         # Slot 0 is a sentinel so cref 0 never names a clause.
         self.data = array("i", [0])
 
-    def add(self, lits: Iterable[int]) -> int:
+    def add(self, lits: Sequence[int]) -> int:
         """Append a clause; return its cref."""
         data = self.data
         cref = len(data)
-        lits = list(lits)
         data.append(len(lits))
         data.extend(lits)
         return cref
@@ -62,7 +61,7 @@ class ClauseArena:
     def literals(self, cref: int) -> list[int]:
         """The literals of the clause at *cref*, as a fresh list."""
         data = self.data
-        return list(data[cref + 1: cref + 1 + data[cref]])
+        return data[cref + 1: cref + 1 + data[cref]].tolist()
 
     def __len__(self) -> int:
         return len(self.data)

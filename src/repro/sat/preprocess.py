@@ -36,6 +36,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import neg
 from collections.abc import Iterable, Sequence
 
 from repro.errors import SolverStateError
@@ -92,6 +94,10 @@ class PreprocessResult:
 class _Worker:
     """Occurrence-list state machine for one preprocessing run.
 
+    ``occ[lit]`` is exact: it holds the index of every live clause that
+    contains *lit* and nothing else, so a clause that contains all of a
+    set of literals is found by intersecting their occurrence sets.
+
     With a *proof* attached (DRAT :class:`~repro.sat.drat.Proof`), every
     clause mutation is mirrored as proof events: subsumed and satisfied
     clauses get delete lines, strengthened/shrunk clauses get the new
@@ -128,32 +134,20 @@ class _Worker:
         self.dirty: list[int] = []  # clause indices awaiting backward pass
         seen: set[frozenset[int]] = set()
         for raw in clauses:
-            lits = self._normalize(raw)
-            if lits is None:
+            lits = list(raw)
+            key = frozenset(lits)
+            if not key.isdisjoint(map(neg, lits)):
                 continue  # tautology
+            if len(key) != len(lits):
+                lits = list(dict.fromkeys(lits))  # drop repeats, keep order
             if not lits:
                 self.contradiction = True
                 return
             if len(lits) == 1:
                 self.unit_queue.append(lits[0])
-                continue
-            key = frozenset(lits)
-            if key in seen:
-                continue
-            seen.add(key)
-            self._attach(lits)
-
-    @staticmethod
-    def _normalize(raw: Iterable[int]) -> list[int] | None:
-        seen: set[int] = set()
-        out: list[int] = []
-        for lit in raw:
-            if -lit in seen:
-                return None
-            if lit not in seen:
-                seen.add(lit)
-                out.append(lit)
-        return out
+            elif key not in seen:
+                seen.add(key)
+                self._attach(lits)
 
     def _attach(self, lits: list[int]) -> int:
         idx = len(self.clauses)
@@ -171,10 +165,29 @@ class _Worker:
             self.occ[lit].discard(idx)
         self.clauses[idx] = None
 
+    def _strengthen(self, other: int, lit: int) -> None:
+        """Remove *lit* from clause *other* (a unit is queued instead)."""
+        dlits = self.clauses[other]
+        old = list(dlits) if self.proof is not None else None
+        dlits.remove(lit)
+        self.occ[lit].discard(other)
+        if self.proof is not None:
+            self.proof.add(list(dlits))
+            self.proof.delete(old)
+        if len(dlits) == 1:
+            self._detach(other)
+            self.unit_queue.append(dlits[0])
+            self.stats.units_derived += 1
+        else:
+            self.dirty.append(other)
+
     # -- unit propagation ----------------------------------------------------
 
     def propagate(self) -> None:
         """Exhaustively apply the queued unit literals."""
+        occ = self.occ
+        clauses = self.clauses
+        proof = self.proof
         while self.unit_queue and not self.contradiction:
             lit = self.unit_queue.pop()
             var = abs(lit)
@@ -186,75 +199,92 @@ class _Worker:
                 continue
             self.assign[var] = value
             # Clauses satisfied by lit disappear; clauses with -lit shrink.
-            for idx in list(self.occ[lit]):
-                old = self.clauses[idx]
-                if old is not None and self.proof is not None:
-                    self.proof.delete(old)
+            for idx in list(occ[lit]):
+                if proof is not None:
+                    proof.delete(clauses[idx])
                 self._detach(idx)
-            for idx in list(self.occ[-lit]):
-                lits = self.clauses[idx]
-                if lits is None:
-                    continue
-                old = list(lits) if self.proof is not None else None
-                lits.remove(-lit)
-                self.occ[-lit].discard(idx)
-                if self.proof is not None:
-                    self.proof.add(list(lits))
-                    self.proof.delete(old)
-                if len(lits) == 1:
-                    self._detach(idx)
-                    self.unit_queue.append(lits[0])
-                    self.stats.units_derived += 1
-                else:
-                    self.dirty.append(idx)
+            for idx in list(occ[-lit]):
+                self._strengthen(idx, -lit)
 
     # -- subsumption & self-subsuming resolution -----------------------------
 
     def backward_pass(self) -> bool:
-        """Use each dirty clause to subsume/strengthen the rest."""
+        """Use each dirty clause to subsume/strengthen the rest.
+
+        A clause D that C subsumes contains every literal of C, and a
+        clause D that C = (A ∨ l) strengthens contains ¬l and every
+        literal of A, so both passes take their candidates from an
+        intersection of occurrence sets, filtered first through the
+        rarest literal. When several clauses qualify they are visited
+        in the iteration order of one occurrence set (that of C's rarest
+        literal for subsumption, that of ¬l for strengthening), which
+        fixes the order of every mutation and so the output.
+        """
         changed = False
-        while self.dirty and not self.contradiction:
-            idx = self.dirty.pop()
-            lits = self.clauses[idx]
+        occ = self.occ
+        clauses = self.clauses
+        dirty = self.dirty
+        stats = self.stats
+        while dirty and not self.contradiction:
+            idx = dirty.pop()
+            lits = clauses[idx]
             if lits is None:
                 continue
-            cset = frozenset(lits)
-            # Subsumption: candidates must contain C's rarest literal.
-            rarest = min(lits, key=lambda l: len(self.occ[l]))
-            for other in list(self.occ[rarest]):
-                dlits = self.clauses[other]
-                if other == idx or dlits is None or len(dlits) < len(lits):
-                    continue
-                if cset <= set(dlits):
-                    if self.proof is not None:
-                        self.proof.delete(dlits)
-                    self._detach(other)
-                    self.stats.subsumed += 1
+            # C's two rarest literals; ties go to the earlier literal.
+            sizes = [len(occ[l]) for l in lits]
+            first, second = sorted(range(len(lits)), key=sizes.__getitem__)[:2]
+            rarest, runner_up = lits[first], lits[second]
+            rare_occ, runner_occ = occ[rarest], occ[runner_up]
+            # The clauses that hold both; C is one of them.
+            both = rare_occ & runner_occ
+            # Subsumption: a superset of C also holds C's other literals.
+            if len(both) > 1:
+                hits = both
+                if len(lits) > 2:
+                    hits = both.intersection(
+                        *[occ[l] for l in lits if l != rarest and l != runner_up]
+                    )
+                if len(hits) > 1:
+                    for other in [o for o in rare_occ if o in hits]:
+                        if other == idx:
+                            continue
+                        if self.proof is not None:
+                            self.proof.delete(clauses[other])
+                        self._detach(other)
+                        stats.subsumed += 1
                     changed = True
             # Self-subsuming resolution: C = (A ∨ l) strengthens any
-            # D ⊇ (A ∨ ¬l) by removing ¬l from D.
+            # D ⊇ (A ∨ ¬l) by removing ¬l from D. D lies in the
+            # occurrence set of ¬l and of A's rarest literal, or in
+            # ``both`` when l is neither of C's rarest. ``both`` may
+            # still list clauses removed since; they are in no occurrence
+            # set any more, so intersecting with that of ¬l drops them.
             for lit in lits:
-                rest = cset - {lit}
-                for other in list(self.occ[-lit]):
-                    dlits = self.clauses[other]
-                    if other == idx or dlits is None or len(dlits) < len(lits):
+                neg_occ = occ.get(-lit)
+                if not neg_occ:
+                    continue
+                if lit == rarest:
+                    pivot_occ, known = runner_occ, (lit, runner_up)
+                elif lit == runner_up:
+                    pivot_occ, known = rare_occ, (lit, rarest)
+                elif len(both) > 1:
+                    pivot_occ, known = both, (lit, rarest, runner_up)
+                else:
+                    continue  # no other clause holds C's rarest literals
+                if neg_occ.isdisjoint(pivot_occ):
+                    continue
+                hits = neg_occ & pivot_occ
+                rest = [occ[l] for l in lits if l not in known]
+                if rest:
+                    hits.intersection_update(*rest)
+                    if not hits:
                         continue
-                    dset = set(dlits)
-                    if rest <= dset:
-                        old = list(dlits) if self.proof is not None else None
-                        dlits.remove(-lit)
-                        self.occ[-lit].discard(other)
-                        if self.proof is not None:
-                            self.proof.add(list(dlits))
-                            self.proof.delete(old)
-                        self.stats.strengthened += 1
-                        changed = True
-                        if len(dlits) == 1:
-                            self._detach(other)
-                            self.unit_queue.append(dlits[0])
-                            self.stats.units_derived += 1
-                        else:
-                            self.dirty.append(other)
+                if len(hits) > 1:
+                    hits = [o for o in neg_occ if o in hits]
+                for other in hits:
+                    self._strengthen(other, -lit)
+                    stats.strengthened += 1
+                changed = True
             if self.unit_queue:
                 self.propagate()
         return changed
@@ -264,78 +294,64 @@ class _Worker:
     def eliminate_pass(self) -> bool:
         """Resolve away cheap unfrozen variables (one sweep)."""
         changed = False
+        occ = self.occ
+        limit = self.elim_occ_limit
+        frozen, elim_set, assign = self.frozen, self.elim_set, self.assign
         for var in range(1, self.num_vars + 1):
             if self.contradiction:
                 break
-            if (
-                var in self.frozen
-                or var in self.elim_set
-                or var in self.assign
-            ):
+            if var in frozen or var in elim_set or var in assign:
                 continue
+            total = len(occ[var]) + len(occ[-var])
+            if total == 0 or total > limit:
+                continue  # never constrained, or too costly to resolve
             if self._try_eliminate(var):
                 changed = True
                 self.propagate()
         return changed
 
     def _try_eliminate(self, var: int) -> bool:
-        pos = [i for i in self.occ[var] if self.clauses[i] is not None]
-        neg = [i for i in self.occ[-var] if self.clauses[i] is not None]
-        total = len(pos) + len(neg)
-        if total == 0:
-            return False  # never constrained; nothing to record
-        if total > self.elim_occ_limit:
-            return False
+        clauses = self.clauses
+        occ = self.occ
+        pos = list(occ[var])
+        neg = list(occ[-var])
         resolvents: list[list[int]] = []
-        seen: set[frozenset[int]] = set()
-        for pi in pos:
-            plits = self.clauses[pi]
-            prest = [l for l in plits if l != var]
-            for ni in neg:
-                nlits = self.clauses[ni]
-                merged = self._resolve(prest, nlits, var)
-                if merged is None:
-                    continue  # tautological resolvent
-                if len(merged) > self.elim_clause_limit:
-                    return False  # resolvent too wide: abort this var
-                key = frozenset(merged)
-                if key in seen:
-                    continue
-                seen.add(key)
-                resolvents.append(merged)
-                if len(resolvents) > total + self.elim_growth:
-                    return False  # clause count would grow: abort
-        saved = [list(self.clauses[i]) for i in pos]
-        saved += [list(self.clauses[i]) for i in neg]
+        if pos and neg:
+            budget = len(pos) + len(neg) + self.elim_growth
+            width = self.elim_clause_limit
+            nrests = [[l for l in clauses[ni] if l != -var] for ni in neg]
+            seen: set[frozenset[int]] = set()
+            for pi in pos:
+                prest = [l for l in clauses[pi] if l != var]
+                clash = {-l for l in prest}
+                for nrest in nrests:
+                    if not clash.isdisjoint(nrest):
+                        continue  # tautological resolvent
+                    merged = prest + [l for l in nrest if l not in prest]
+                    if len(merged) > width:
+                        return False  # resolvent too wide: abort this var
+                    key = frozenset(merged)
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    resolvents.append(merged)
+                    if len(resolvents) > budget:
+                        return False  # clause count would grow: abort
+        saved = [clauses[i] for i in pos]
+        saved += [clauses[i] for i in neg]
         for i in pos + neg:
             self._detach(i)
         self.eliminated.append((var, saved))
         self.elim_set.add(var)
         self.stats.eliminated_vars += 1
+        self.stats.resolvents_added += len(resolvents)
         for merged in resolvents:
             if len(merged) == 1:
                 self.unit_queue.append(merged[0])
                 self.stats.units_derived += 1
             else:
                 self._attach(merged)
-            self.stats.resolvents_added += 1
         return True
-
-    @staticmethod
-    def _resolve(
-        prest: list[int], nlits: list[int], var: int
-    ) -> list[int] | None:
-        out = list(prest)
-        present = set(prest)
-        for lit in nlits:
-            if lit == -var:
-                continue
-            if -lit in present:
-                return None
-            if lit not in present:
-                present.add(lit)
-                out.append(lit)
-        return out
 
     # -- driver --------------------------------------------------------------
 
@@ -357,7 +373,7 @@ class _Worker:
         units = [
             (v if value else -v) for v, value in sorted(self.assign.items())
         ]
-        surviving = [list(c) for c in self.clauses if c is not None]
+        surviving = [c for c in self.clauses if c is not None]
         return PreprocessResult(
             num_vars=self.num_vars,
             units=[] if self.contradiction else units,
@@ -464,11 +480,15 @@ def preprocess_solver(
         raise SolverStateError("preprocess requires decision level 0")
     if solver._unsat:
         return PreprocessStats()
-    units = list(solver._trail)
-    clauses = solver.clause_literals()
+    # Streamed, so the solver's clauses exist as lists only inside the
+    # preprocessor: a materialised copy would outlive several garbage
+    # collections and bring on a full one.
+    arena = solver._arena
+    clauses = (arena.literals(cref) for cref in solver._clauses)
+    units = [[u] for u in solver._trail]
     result = preprocess_clauses(
         solver.num_vars,
-        clauses + [[u] for u in units],
+        chain(clauses, units),
         frozen,
         elim_occ_limit=elim_occ_limit,
         elim_growth=elim_growth,

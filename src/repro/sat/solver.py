@@ -38,7 +38,7 @@ from collections.abc import Callable, Iterable, Sequence
 
 from repro.errors import BudgetExceededError, SolverStateError
 from repro.sat.clause import ClauseArena
-from repro.sat.literals import check_clause, check_literal, var_of
+from repro.sat.literals import check_literal, var_of
 
 _RESCALE_LIMIT = 1e100
 _RESCALE_FACTOR = 1e-100
@@ -307,20 +307,14 @@ class Solver:
         means rebuilding: positive slots keep their index, negative slots
         move to the end of the longer list.
         """
-        old_assign = self._assign
-        old_watch = self._watch
-        old_bwatch = self._bwatch
-        size = 2 * new_cap + 1
-        self._assign = [0] * size
-        self._watch = [[] for _ in range(size)]
-        self._bwatch = [[] for _ in range(size)]
-        for v in range(1, self._num_vars):
-            self._assign[v] = old_assign[v]
-            self._assign[-v] = old_assign[-v]
-            self._watch[v] = old_watch[v]
-            self._watch[-v] = old_watch[-v]
-            self._bwatch[v] = old_bwatch[v]
-            self._bwatch[-v] = old_bwatch[-v]
+        mid = self._lit_cap + 1  # first negative slot
+        added = 2 * (new_cap - self._lit_cap)
+        assign = self._assign
+        self._assign = assign[:mid] + [0] * added + assign[mid:]
+        watch = self._watch
+        self._watch = watch[:mid] + [[] for _ in range(added)] + watch[mid:]
+        bwatch = self._bwatch
+        self._bwatch = bwatch[:mid] + [[] for _ in range(added)] + bwatch[mid:]
         self._lit_cap = new_cap
 
     def add_clause(self, lits: Iterable[int]) -> bool:
@@ -331,38 +325,49 @@ class Solver:
         emptied this way marks the formula unsatisfiable. Any previously
         computed model or core is invalidated — callers must re-solve
         before reading :meth:`model`/:meth:`value`/:meth:`unsat_core`.
+        A clause rejected with an error leaves the solver unchanged.
         """
         if self._trail_lim:
             raise SolverStateError("clauses may only be added at decision level 0")
         if self._unsat:
             return False
-        self._model = None
-        self._core = None
-        lits = check_clause(lits, self._num_vars)
-        if self._eliminated:
-            for lit in lits:
-                if var_of(lit) in self._eliminated:
-                    raise SolverStateError(
-                        f"variable {var_of(lit)} was eliminated by "
-                        "preprocessing and cannot appear in new clauses; "
-                        "freeze it before preprocessing"
-                    )
+        # One pass validates, finds eliminated variables and normalises.
+        # Every literal is validated, even after a tautology or a root-
+        # satisfied literal, and an invalid literal is reported before
+        # an eliminated variable; nothing changes until all have passed.
+        num_vars = self._num_vars
+        assign = self._assign
+        eliminated = self._eliminated
+        elim_var = 0
+        satisfied = False
+        stripped = False
         seen: set[int] = set()
         out: list[int] = []
-        stripped = False
         for lit in lits:
-            if -lit in seen:
-                return True  # tautology: trivially satisfied
-            if lit in seen:
+            if type(lit) is not int or not -num_vars <= lit <= num_vars or not lit:
+                check_literal(lit, num_vars)  # raises, or passes an int subclass
+            if eliminated and (lit if lit > 0 else -lit) in eliminated:
+                elim_var = elim_var or (lit if lit > 0 else -lit)
+            if satisfied or lit in seen:
                 continue
-            val = self._value_lit(lit)
-            if val is True:
-                return True  # satisfied at root level
-            if val is False:
-                stripped = True
-                continue  # falsified at root level: drop the literal
-            seen.add(lit)
-            out.append(lit)
+            val = assign[lit]
+            if val > 0 or -lit in seen:
+                satisfied = True  # satisfied at root level, or a tautology
+            elif val < 0:
+                stripped = True  # falsified at root level: drop the literal
+            else:
+                seen.add(lit)
+                out.append(lit)
+        if elim_var:
+            raise SolverStateError(
+                f"variable {elim_var} was eliminated by "
+                "preprocessing and cannot appear in new clauses; "
+                "freeze it before preprocessing"
+            )
+        self._model = None
+        self._core = None
+        if satisfied:
+            return True
         if not out:
             self._unsat = True
             if self.proof is not None:
@@ -663,10 +668,11 @@ class Solver:
         time it was eliminated. Eliminated variables are excluded from
         branching, rejected in new clauses and assumptions, and re-valued
         on every model by :meth:`_reconstruct_model` (in reverse order, so
-        each saved clause only reads already-reconstructed values).
+        each saved clause only reads already-reconstructed values). The
+        solver keeps the saved clauses as given, without copying them.
         """
         for var, saved in stack:
-            self._elim_stack.append((var, [list(c) for c in saved]))
+            self._elim_stack.append((var, saved))
             self._eliminated.add(var)
         self._rebuild_heap()
 
@@ -693,9 +699,12 @@ class Solver:
             model[var] = value
 
     def _check_assumptions(self, assumptions: Sequence[int]) -> None:
+        num_vars = self._num_vars
+        eliminated = self._eliminated
         for lit in assumptions:
-            check_literal(lit, self._num_vars)
-            if var_of(lit) in self._eliminated:
+            if type(lit) is not int or not -num_vars <= lit <= num_vars or not lit:
+                check_literal(lit, num_vars)  # raises, or passes an int subclass
+            if eliminated and (lit if lit > 0 else -lit) in eliminated:
                 raise SolverStateError(
                     f"assumption {lit} mentions variable {var_of(lit)}, "
                     "which was eliminated by preprocessing; freeze it "
@@ -1156,10 +1165,15 @@ class Solver:
         self.stats.arena_compactions += 1
 
     def _rebuild_watches(self) -> None:
-        """Recreate every watcher list from the live clause sets."""
-        size = 2 * self._lit_cap + 1
-        self._watch = [[] for _ in range(size)]
-        self._bwatch = [[] for _ in range(size)]
+        """Recreate every watcher list from the live clause sets.
+
+        The lists are emptied in place, not reallocated, which spares
+        thousands of allocations on every preprocessing pass.
+        """
+        for watchers in self._watch:
+            watchers.clear()
+        for watchers in self._bwatch:
+            watchers.clear()
         arena = self._arena
         for cref in self._clauses:
             self._watch_clause(cref, arena.literals(cref))
@@ -1405,12 +1419,10 @@ class Solver:
         arena = self._arena
         self._rebuild_watches()
         for lits in clauses:
-            lits = list(lits)
             cref = arena.add(lits)
             self._clauses.append(cref)
             self._watch_clause(cref, lits)
         for lits, act, lbd in learnts:
-            lits = list(lits)
             cref = arena.add(lits)
             self._learnts.append(cref)
             self._cla_activity[cref] = act

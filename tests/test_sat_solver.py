@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import random
 
+import numpy
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import InvalidLiteralError, SolverStateError
 from repro.sat import Solver
+from repro.sat.preprocess import preprocess_solver
 from repro.sat.solver import luby
 from tests.conftest import brute_force_sat, random_clauses
 
@@ -111,6 +113,87 @@ class TestValidation:
         s.solve()
         with pytest.raises(SolverStateError):
             s.unsat_core()
+
+
+def _intake_solver() -> Solver:
+    """Four variables: 1 true at the root, 4 eliminated by preprocessing,
+    2 and 3 free; solved, so a model is in hand."""
+    s = Solver()
+    s.new_vars(4)
+    for clause in ([1], [2, 4], [-4, 3]):
+        s.add_clause(clause)
+    preprocess_solver(s, frozen=[1, 2, 3])
+    assert s.eliminated_vars == {4}
+    assert s.solve()
+    return s
+
+
+def _snapshot(s: Solver):
+    return (s.num_vars, list(s._arena.data), list(s._clauses),
+            list(s._trail), s._unsat, s.model())
+
+
+#: (clause, error) pairs. An invalid literal is reported before an
+#: eliminated one, wherever it stands, and even after a tautology or a
+#: literal already true at the root.
+_BAD_CLAUSES = [
+    ([0], InvalidLiteralError),
+    ([True], InvalidLiteralError),
+    ([False], InvalidLiteralError),
+    ([numpy.int64(2)], InvalidLiteralError),
+    ([2.0], InvalidLiteralError),
+    ([5], InvalidLiteralError),
+    ([-5], InvalidLiteralError),
+    ([4], SolverStateError),
+    ([-4, 2], SolverStateError),
+    ([4, 0], InvalidLiteralError),
+    ([2, 4, 5], InvalidLiteralError),
+    ([2, -2, 5], InvalidLiteralError),
+    ([1, 5], InvalidLiteralError),
+    ([1, 4], SolverStateError),
+    ([2, -2, -4], SolverStateError),
+]
+
+#: (assumptions, error) pairs: the first bad assumption decides.
+_BAD_ASSUMPTIONS = [
+    ([0], InvalidLiteralError),
+    ([True], InvalidLiteralError),
+    ([numpy.int64(2)], InvalidLiteralError),
+    ([2.0], InvalidLiteralError),
+    ([5], InvalidLiteralError),
+    ([-5], InvalidLiteralError),
+    ([4], SolverStateError),
+    ([2, -4], SolverStateError),
+    ([2, 0], InvalidLiteralError),
+    ([4, 0], SolverStateError),
+    ([0, 4], InvalidLiteralError),
+]
+
+
+class TestIntakeErrors:
+    @pytest.mark.parametrize("lits,error", _BAD_CLAUSES)
+    def test_rejected_clause_leaves_solver_unchanged(self, lits, error):
+        s = _intake_solver()
+        before = _snapshot(s)
+        with pytest.raises(error):
+            s.add_clause(lits)
+        assert _snapshot(s) == before
+
+    @pytest.mark.parametrize("lits,error", _BAD_ASSUMPTIONS)
+    def test_rejected_assumptions(self, lits, error):
+        s = _intake_solver()
+        before = _snapshot(s)
+        with pytest.raises(error):
+            s.solve(lits)
+        assert _snapshot(s) == before
+
+    def test_clause_from_an_iterator(self):
+        s = _intake_solver()
+        assert s.add_clause(iter([-2, 3, -2])) is True
+        assert s.clause_literals()[-1] == [-2, 3]
+        assert s.add_clause(x for x in [2, 3, -2]) is True  # tautology
+        assert s.add_clause(iter([-1, -2])) is True  # -1 stripped: unit
+        assert -2 in s.root_units()
 
 
 class TestPigeonhole:

@@ -15,6 +15,9 @@ Regression suite for two pool policies:
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core.design import DesignRequest
@@ -202,3 +205,25 @@ class TestCheckinEviction:
         assert stats["idle"] == 0
         assert stats["discarded_overflow"] == 1
         assert stats["evictions"] == 0
+
+    def test_evicted_session_is_freed_without_cyclic_gc(self):
+        """Eviction drops the last reference to a session and its solver:
+        nothing in them forms a cycle that only the cyclic GC could free."""
+        kb = _kb()
+        pool = SessionPool(max_sessions=1)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            pooled = pool.checkout("default", kb, _query("old"))
+            pooled.execute(_query("old"))
+            session = weakref.ref(pooled.session)
+            solver = weakref.ref(pooled.session._compiled.solver)
+            pool.checkin(pooled)
+            del pooled
+            _roundtrip(pool, kb, _query("new"))
+            assert pool.stats_dict()["evictions"] == 1
+            assert session() is None
+            assert solver() is None
+        finally:
+            if was_enabled:
+                gc.enable()

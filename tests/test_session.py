@@ -9,6 +9,9 @@ what-if sweeps and compare.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core.compile import compile_design
@@ -256,3 +259,26 @@ class TestPoisonedSessions:
             session._executor.execute(Query("explain", _request()))
         assert not session.poisoned
         assert session.check(_request()).feasible
+
+
+class TestLifetime:
+    def test_dropped_session_is_freed_without_cyclic_gc(self, tiny_kb):
+        """A session that answered every verb is freed, solver and all,
+        as soon as its last reference goes, with the cyclic GC off."""
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            session = ReasoningSession(tiny_kb)
+            assert session.check(_request()).feasible
+            assert session.synthesize(
+                _request(optimize=["capex_usd"])
+            ).feasible
+            session.diagnose(_request(budgets={"capex_usd": 100}))
+            ref = weakref.ref(session)
+            solver = weakref.ref(session._compiled.solver)
+            del session
+            assert ref() is None
+            assert solver() is None
+        finally:
+            if was_enabled:
+                gc.enable()
