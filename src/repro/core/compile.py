@@ -139,14 +139,14 @@ class CompiledDesign:
 
     #: Optimization granularity for cost objectives: prices are charged in
     #: these units during search (extraction still reports exact totals).
-    #: Coarse units shrink the adder circuits the bisection probes solve.
+    #: Coarse units keep the bisection's probes few and its weights small.
     COST_QUANTUM = {"capex_usd": 500, "power_w": 10}
 
     def cost_expr(self, name: str) -> LinExpr:
         """A cost objective as a linear expression over hardware counts.
 
         Used by the optimizer: large-weight objectives are minimized by
-        bound bisection over the bit-vector encoding rather than by a
+        bound bisection with native linear bounds rather than by a
         pseudo-Boolean totalizer (which degrades on dollar-scale weights).
         Unit costs are quantized by :data:`COST_QUANTUM` (rounded up), so
         the optimum is exact at that granularity.

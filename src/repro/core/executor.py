@@ -45,7 +45,7 @@ from repro.obs.observer import EngineObserver
 from repro.obs.trace import NULL_TRACER
 from repro.opt.enumerate import equivalence_classes as _sat_classes
 from repro.opt.lexicographic import LexObjective, lexicographic_optimize
-from repro.opt.linear import expr_value, minimize_linexpr
+from repro.opt.linear import minimize_linexpr
 from repro.par.cache import QueryCache, request_cache_key
 
 __all__ = ["QueryExecutor"]
@@ -357,8 +357,9 @@ class QueryExecutor:
     ) -> dict[int, bool]:
         """Minimize every objective in priority order, threading *model*.
 
-        Cost objectives bisect on the bit-vector encoding (dollar/watt
-        weights); every other objective descends over a totalizer.
+        Cost objectives bisect with native linear bounds over the count
+        bits (dollar/watt weights); every other objective descends over
+        a totalizer.
         """
         tracer = self._tracer
         solver, encoder = view.solver, view.encoder
@@ -375,19 +376,19 @@ class QueryExecutor:
                 )
                 continue
             with tracer.span(objective):
-                expr = view.cost_expr(objective)
-                # Stop within ~2% of optimal: the probes nearest the
-                # true optimum are the hardest UNSAT instances, and
-                # shallow cost reasoning does not need dollar-exact
-                # answers.
-                tolerance = max(1, expr_value(expr, encoder, model) // 50)
+                # Stop within 2% of optimal: the probes nearest the true
+                # optimum are the hardest UNSAT instances, and shallow
+                # cost reasoning does not need dollar-exact answers. The
+                # gap is taken from the proven lower bound, never from
+                # the first model's cost, so the promise holds however
+                # poor that model is.
                 model, _, _ = minimize_linexpr(
                     solver,
                     encoder,
-                    expr,
+                    view.cost_expr(objective),
                     model,
                     base,
-                    tolerance=tolerance,
+                    tolerance=_within_two_percent,
                     tracer=tracer,
                     freeze_lit=act,
                 )
@@ -413,6 +414,11 @@ class QueryExecutor:
             return
         stats = view.solver.stats.as_dict() if view is not None else None
         self.observer.record_query(verb, stats)
+
+
+def _within_two_percent(lo: int) -> int:
+    """Cost descent stop gap: ``hi - lo <= lo // 50`` keeps hi within 2%."""
+    return max(1, lo // 50)
 
 
 def _objectives(view: CompiledDesign):

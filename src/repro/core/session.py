@@ -110,9 +110,11 @@ class ReasoningSession:
     :class:`~repro.core.engine.ReasoningEngine` would produce for each
     request in isolation: same feasibility verdicts, same minimal-core
     diagnosis semantics, same exact optima on ordering objectives, and
-    cost optima within the engine's documented bisection tolerance.
-    (Ties between equally-good models may break differently, since the
-    solver arrives at each query warm.)
+    cost optima within the engine's bisection tolerance: each cost
+    descent stops once its answer is within 2% of a proven lower bound,
+    so both paths are within 2% of the true optimum, though not always
+    at the same cost. (Ties between equally-good models may break
+    differently, since the solver arrives at each query warm.)
 
     Parameters
     ----------

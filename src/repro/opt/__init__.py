@@ -8,8 +8,8 @@ supplies that layer:
   bisect from a model in hand, freeze the optimum, re-solve once;
 - :func:`lexicographic_optimize` — one objective over a generalized
   totalizer (ordering ranks, soft rules, parsimony);
-- :func:`~repro.opt.linear.minimize_linexpr` — one cost objective over
-  reified comparators on the bit-vector encoding;
+- :func:`~repro.opt.linear.minimize_linexpr` — one cost objective, each
+  probe a native linear constraint over the bit-vector encoding;
 - :func:`enumerate_models` / :func:`equivalence_classes` — model
   enumeration with blocking clauses and projection, which backs the §6
   "equivalence classes of deployments" feature.

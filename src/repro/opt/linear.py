@@ -2,13 +2,16 @@
 
 Pseudo-Boolean totalizers degrade badly when weights are large and
 heterogeneous (hardware prices in dollars): the value-labelled nodes
-enumerate every distinct partial sum. Cost objectives instead reuse the
-bit-blasting encoder — each probe ``expr <= mid`` is one reified
-comparator circuit over the already-encoded count variables, and the
+enumerate every distinct partial sum. Cost objectives instead bound the
+expression directly — each probe ``expr <= mid`` is one native linear
+constraint over the already-encoded count bits, behind a fresh
+activation literal that is retired once the probe returns, and the
 optimum is found in ``O(log range)`` solver calls.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable
 
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.opt.descent import Model, descend
@@ -30,7 +33,7 @@ def minimize_linexpr(
     expr: LinExpr,
     model: Model,
     base: list[int],
-    tolerance: int = 0,
+    tolerance: int | Callable[[int], int] = 0,
     tracer: Tracer | None = None,
     freeze_lit: int | None = None,
 ) -> tuple[Model, int, int]:
@@ -42,14 +45,27 @@ def minimize_linexpr(
     *tracer*, the descent is timed under a ``bisect`` span.
     """
     tracer = tracer if tracer is not None else NULL_TRACER
+
+    def at_most(k: int) -> list[int]:
+        act = solver.new_var()
+        encoder.assert_implies(act, expr <= k)
+        return [act]
+
+    def freeze(k: int, guard: int | None) -> None:
+        if guard is None:
+            encoder.assert_constraint(expr <= k)
+        else:
+            encoder.assert_implies(guard, expr <= k)
+
     with tracer.span("bisect"):
         return descend(
             solver,
             base,
             model,
             cost=lambda m: expr_value(expr, encoder, m),
-            at_most=lambda k: [encoder.reify(expr <= k)],
+            at_most=at_most,
             lo=bounds_of(expr).lo,
             tolerance=tolerance,
             freeze_lit=freeze_lit,
+            freeze=freeze,
         )

@@ -17,7 +17,8 @@ solver hook :meth:`~repro.sat.solver.Solver.install_elimination`) re-value
 eliminated variables from any model of the preprocessed formula, in
 reverse elimination order.
 
-**Frozen variables are never eliminated.** Any variable that can appear
+**Frozen variables are never eliminated.** Variables of the solver's
+native linear constraints are always frozen. Any variable that can appear
 in a later ``add_clause``, in solve assumptions (guards, activation
 literals), or that the caller needs to read out of models verbatim
 (objective/selector variables) must be frozen — the session layer
@@ -468,6 +469,10 @@ def preprocess_solver(
     models are reconstructed transparently and any attempt to mention an
     eliminated variable raises.
 
+    Variables of the solver's linear constraints are frozen here, on
+    top of *frozen*: the passes see clauses only, so they could not
+    account for a constraint's occurrences of a variable.
+
     Not compatible with DRAT proof logging: variable elimination steps
     are not RUP, so preprocessing a proof-logging solver raises.
     """
@@ -489,7 +494,7 @@ def preprocess_solver(
     result = preprocess_clauses(
         solver.num_vars,
         chain(clauses, units),
-        frozen,
+        chain(frozen, solver.linear_vars()),
         elim_occ_limit=elim_occ_limit,
         elim_growth=elim_growth,
         elim_clause_limit=elim_clause_limit,

@@ -13,7 +13,10 @@ This is a MiniSat-lineage solver implemented in pure Python:
   from scratch, so no stale watcher can survive a reduction),
 - inprocessing between restarts: clause vivification plus
   subsumption/self-subsumption (via :mod:`repro.sat.preprocess`),
-- incremental solving under assumptions with unsat-core extraction.
+- incremental solving under assumptions with unsat-core extraction,
+- native linear constraints ``sum(w_i * lit_i) <= bound`` propagated
+  by slack, with clause reasons built only when analysis reads them
+  (:meth:`Solver.add_linear`).
 
 Clause storage (the tentpole of the PR-6 rework): every clause lives in
 one contiguous ``array('i')`` of ``[size, lit, lit, ...]`` blocks and is
@@ -52,6 +55,9 @@ _HEAP_REBUILD_FLOOR = 32
 
 #: Arena size (in ints) below which ablation-mode garbage collection waits.
 _ARENA_GC_FLOOR = 1 << 16
+
+#: ``_lin_pos`` entry of a variable whose literal no constraint has charged.
+_UNCHARGED = 1 << 62
 
 
 def luby(i: int) -> int:
@@ -250,6 +256,28 @@ class Solver:
         # reconstruction stack (repro.sat.preprocess).
         self._eliminated: set[int] = set()
         self._elim_stack: list[tuple[int, list[list[int]]]] = []
+        # Linear constraints ``sum(w * lit) <= bound`` (see add_linear),
+        # indexed by constraint id. ``_lwatch`` is literal-indexed like
+        # ``_watch``: ``_lwatch[L]`` holds ``[cid, weight, ...]`` for each
+        # attached constraint containing L and is visited when L becomes
+        # *true*. Propagation *charges* a literal to its constraints when
+        # it processes it, so a slack is the bound minus the weights of
+        # the true literals among the first ``_qhead`` trail entries.
+        # ``_lin_pos[v]`` is the trail index at which v's literal was
+        # charged. A literal forced false gets the lazy reason
+        # ``-(cid + 1)``, and ``_lin_at[v]`` keeps the index of the charge
+        # that forced it; analysis builds the reason clause from the
+        # literals charged up to then, as a list that never enters the
+        # arena (``_lin_clause``).
+        self._lwatch: list[list[int]] = [[] for _ in range(2 * self._lit_cap + 1)]
+        self._lin_lits: list[list[int]] = []  # weight-descending
+        self._lin_weights: list[list[int]] = []
+        self._lin_bound: list[int] = []
+        self._lin_slack: list[int] = []
+        self._lin_pos: list[int] = [_UNCHARGED]
+        self._lin_at: list[int] = [0]
+        self._lin_attached = 0
+        self._lin_swept = 0  # root trail length at the last detach sweep
         self.stats = SolverStats()
         self._progress_cb = progress_callback
         self._progress_interval = max(1, progress_interval)
@@ -285,6 +313,8 @@ class Solver:
             self._grow_literal_tables(2 * self._lit_cap)
         self._level.append(0)
         self._reason.append(0)
+        self._lin_pos.append(_UNCHARGED)
+        self._lin_at.append(0)
         self._seen.append(0)
         self._phase.append(False)
         self._activity.append(0.0)
@@ -315,6 +345,8 @@ class Solver:
         self._watch = watch[:mid] + [[] for _ in range(added)] + watch[mid:]
         bwatch = self._bwatch
         self._bwatch = bwatch[:mid] + [[] for _ in range(added)] + bwatch[mid:]
+        lwatch = self._lwatch
+        self._lwatch = lwatch[:mid] + [[] for _ in range(added)] + lwatch[mid:]
         self._lit_cap = new_cap
 
     def add_clause(self, lits: Iterable[int]) -> bool:
@@ -385,6 +417,10 @@ class Solver:
                 if self.proof is not None:
                     self.proof.add([])
                 return False
+            retired = self._lwatch[-out[0]]
+            if retired:
+                # A retired activation literal: detach what it guarded.
+                self._lin_sweep(retired[0::2])
             return True
         cref = self._arena.add(out)
         self._clauses.append(cref)
@@ -402,6 +438,113 @@ class Solver:
         """The current problem clauses, as fresh literal lists."""
         arena = self._arena
         return [arena.literals(cref) for cref in self._clauses]
+
+    def add_linear(self, terms: Iterable[tuple[int, int]], bound: int) -> bool:
+        """Add ``sum(weight * lit) <= bound`` over ``(weight, lit)`` terms.
+
+        Weights must be positive ints and each variable may appear once
+        (fold opposite polarities first, e.g. with
+        :func:`repro.logic.pseudo_boolean.normalize_pb`). Literals fixed
+        at the root are folded into the bound. Propagation keeps the
+        constraint's slack: a literal whose weight exceeds it is forced
+        false, and a negative slack is a conflict. Returns ``False`` if
+        the formula became trivially unsat. Like :meth:`add_clause`, it
+        works only at decision level 0 and invalidates the last model or
+        core; it is refused on a proof-logging solver, because DRAT
+        proofs are clause-only and cannot justify slack reasoning.
+        """
+        if self.proof is not None:
+            raise SolverStateError(
+                "linear constraints cannot be proof-logged: DRAT is "
+                "clause-only"
+            )
+        if self._trail_lim:
+            raise SolverStateError(
+                "linear constraints may only be added at decision level 0"
+            )
+        num_vars = self._num_vars
+        seen: set[int] = set()
+        pairs: list[tuple[int, int]] = []
+        for weight, lit in terms:
+            if type(lit) is not int or not -num_vars <= lit <= num_vars or not lit:
+                check_literal(lit, num_vars)
+            if type(weight) is not int or weight <= 0:
+                raise ValueError(
+                    f"linear weights must be positive ints, got {weight!r}"
+                )
+            v = lit if lit > 0 else -lit
+            if v in seen:
+                raise ValueError(
+                    f"variable {v} appears twice in one linear constraint"
+                )
+            if v in self._eliminated:
+                raise SolverStateError(
+                    f"variable {v} was eliminated by preprocessing and "
+                    "cannot appear in a linear constraint; freeze it "
+                    "before preprocessing"
+                )
+            seen.add(v)
+            pairs.append((weight, lit))
+        if type(bound) is not int:
+            raise ValueError(f"linear bound must be an int, got {bound!r}")
+        if self._unsat:
+            return False
+        self._model = None
+        self._core = None
+        if self._propagate() is not None:
+            self._unsat = True
+            return False
+        assign = self._assign
+        free: list[tuple[int, int]] = []
+        for weight, lit in pairs:
+            val = assign[lit]
+            if val > 0:
+                bound -= weight
+            elif val == 0:
+                free.append((weight, lit))
+        if bound < 0:
+            self._unsat = True
+            return False
+        if sum(weight for weight, _ in free) <= bound:
+            return True  # can never be violated
+        free.sort(key=lambda term: -term[0])
+        cid = len(self._lin_bound)
+        self._lin_lits.append([lit for _, lit in free])
+        self._lin_weights.append([weight for weight, _ in free])
+        self._lin_bound.append(bound)
+        self._lin_slack.append(bound)
+        self._lin_attached += 1
+        for weight, lit in free:
+            self._lwatch[lit].extend((cid, weight))
+            if weight > bound:
+                self._enqueue(-lit, 0)
+        if self._propagate() is not None:
+            self._unsat = True
+            return False
+        return True
+
+    @property
+    def num_linear(self) -> int:
+        """Number of linear constraints currently attached."""
+        return self._lin_attached
+
+    def linear_constraints(self) -> list[tuple[list[tuple[int, int]], int]]:
+        """The attached linear constraints, as ``(terms, bound)`` pairs.
+
+        Root-fixed literals were folded into each bound when it was
+        added; ``terms`` are ``(weight, lit)`` in descending weight.
+        """
+        return [
+            (list(zip(self._lin_weights[c], self._lin_lits[c])), self._lin_bound[c])
+            for c in range(len(self._lin_bound))
+            if self._lin_lits[c]
+        ]
+
+    def linear_vars(self) -> set[int]:
+        """Variables of the attached linear constraints (never eliminable)."""
+        return {
+            lit if lit > 0 else -lit for lits in self._lin_lits for lit in lits
+        }
 
     # ------------------------------------------------------------------
     # Solving
@@ -476,6 +619,8 @@ class Solver:
             if self.proof is not None:
                 self.proof.add([])
             return SolveResult(False, core=[], stats=self.stats.as_dict())
+        if self._lin_attached and len(self._trail) != self._lin_swept:
+            self._lin_sweep()
 
         assumptions = list(assumptions)
         spent = 0
@@ -551,6 +696,8 @@ class Solver:
             if self.proof is not None:
                 self.proof.add([])
             return SolveResult(False, core=[], stats=self.stats.as_dict())
+        if self._lin_attached and len(self._trail) != self._lin_swept:
+            self._lin_sweep()
         if self._enable_restarts:
             self._step_attempt += 1
             budget = luby(self._step_attempt) * self._restart_base
@@ -765,6 +912,7 @@ class Solver:
         arena = self._arena.data
         watch = self._watch
         bwatch = self._bwatch
+        lwatch = self._lwatch if self._lin_attached else None
         dl = len(self._trail_lim)
         qhead = self._qhead
         propagations = 0
@@ -773,6 +921,12 @@ class Solver:
             p = trail[qhead]
             qhead += 1
             propagations += 1
+            if lwatch is not None and lwatch[p]:
+                # Charged before the clauses, so a processed literal has
+                # always paid its slack (the _qhead invariant).
+                conflict = self._lin_charge(p, qhead - 1) or None
+                if conflict is not None:
+                    break
             false_lit = -p
             # Binary implications: no watch juggling, straight to enqueue.
             bw = bwatch[false_lit]
@@ -784,7 +938,6 @@ class Solver:
                         continue
                     if v < 0:
                         conflict = bw[j + 1]
-                        qhead = len(trail)
                         break
                     assign[other] = 1
                     assign[-other] = -1
@@ -855,7 +1008,6 @@ class Solver:
                         ws[j2 + 1] = ws[i + 1]
                         i += 2
                         j2 += 2
-                    qhead = len(trail)
                     break
                 assign[first] = 1
                 assign[-first] = -1
@@ -869,9 +1021,115 @@ class Solver:
                 del ws[j2:]
             if conflict is not None:
                 break
+        # After a conflict, _qhead stops just past the literal that
+        # raised it: the backjump that follows unassigns the rest.
         self._qhead = qhead
         self.stats.propagations += propagations
         return conflict
+
+    def _lin_charge(self, p: int, pos: int) -> int:
+        """Charge true literal *p*, at trail index *pos*, to its constraints.
+
+        Every constraint pays its weight first, so the slack invariant
+        holds even when one of them conflicts. Then each literal whose
+        weight exceeds a constraint's slack is forced false. Returns the
+        lazy conflict reason ``-(cid + 1)``, or 0.
+        """
+        lw = self._lwatch[p]
+        self._lin_pos[p if p > 0 else -p] = pos
+        slack = self._lin_slack
+        weights_of = self._lin_weights
+        assign = self._assign
+        conflict = 0
+        for j in range(0, len(lw), 2):
+            c = lw[j]
+            s = slack[c] - lw[j + 1]
+            slack[c] = s
+            if conflict or s >= weights_of[c][0]:
+                continue
+            if s < 0:
+                conflict = -(c + 1)
+                continue
+            weights = weights_of[c]
+            lits = self._lin_lits[c]
+            dl = len(self._trail_lim)
+            for k in range(len(weights)):
+                if weights[k] <= s:
+                    break
+                lit = lits[k]
+                if assign[lit] == 0:
+                    self._enqueue(-lit, -(c + 1) if dl else 0)
+                    self._lin_at[lit if lit > 0 else -lit] = pos
+        return conflict
+
+    def _lin_clause(self, c: int, v: int = 0) -> list[int]:
+        """The clause reason constraint *c* gives for forcing *v*'s literal.
+
+        With ``v == 0``, the clause for *c*'s conflict instead. It takes
+        the charged literals that overrun the bound (before the forcing
+        charge, for a forced literal), earliest charged first, so root
+        literals (which analysis skips) and early levels absorb as much
+        as they can.
+        """
+        assign = self._assign
+        pos = self._lin_pos
+        lits = self._lin_lits[c]
+        weights = self._lin_weights[c]
+        need = self._lin_bound[c]
+        out: list[int] = []
+        at = _UNCHARGED - 1
+        if v:
+            lit = v if assign[v] > 0 else -v
+            need -= weights[lits.index(-lit)]
+            out.append(lit)
+            at = self._lin_at[v]
+        charged = [
+            (pos[t if t > 0 else -t], w, t)
+            for w, t in zip(weights, lits)
+            if assign[t] > 0 and pos[t if t > 0 else -t] <= at
+        ]
+        charged.sort()
+        total = 0
+        for _, w, t in charged:
+            out.append(-t)
+            total += w
+            if total > need:
+                return out
+        raise AssertionError("linear reason does not overrun its bound")
+
+    def _lin_sweep(self, cids: Iterable[int] | None = None) -> None:
+        """Detach constraints that root assignments satisfy for good.
+
+        At the root the slack is exact, so a constraint whose unassigned
+        weight fits in it can never propagate or conflict again; a
+        retired activation literal leaves its constraint this way.
+        Checks *cids*, or every constraint (and then notes the root
+        trail length, so the next solve skips an unchanged root).
+        """
+        assign = self._assign
+        lwatch = self._lwatch
+        if cids is None:
+            self._lin_swept = len(self._trail)
+            cids = range(len(self._lin_lits))
+        for c in list(cids):
+            lits = self._lin_lits[c]
+            if not lits:
+                continue
+            free = 0
+            for weight, lit in zip(self._lin_weights[c], lits):
+                if assign[lit] == 0:
+                    free += weight
+            if free > self._lin_slack[c]:
+                continue
+            for lit in lits:
+                lw = lwatch[lit]
+                for j in range(0, len(lw), 2):
+                    if lw[j] == c:
+                        del lw[j:j + 2]
+                        break
+            self._lin_lits[c] = []
+            self._lin_weights[c] = []
+            self._lin_attached -= 1
 
     def _new_decision_level(self) -> None:
         self._trail_lim.append(len(self._trail))
@@ -884,6 +1142,18 @@ class Solver:
         reasons = self._reason
         bound = self._trail_lim[level]
         count = len(trail) - bound
+        if self._lin_attached:
+            # Refund every charge of a literal being undone.
+            lwatch = self._lwatch
+            slack = self._lin_slack
+            lin_pos = self._lin_pos
+            for i in range(min(self._qhead, len(trail)) - 1, bound - 1, -1):
+                lit = trail[i]
+                lw = lwatch[lit]
+                if lw:
+                    lin_pos[lit if lit > 0 else -lit] = _UNCHARGED
+                    for j in range(0, len(lw), 2):
+                        slack[lw[j]] += lw[j + 1]
         # Massive backtracks (e.g. after a long propagation chain) re-heap
         # in one O(n) pass instead of count * O(log n) pushes.
         bulk = count > 512 and 2 * count >= self._num_vars
@@ -997,13 +1267,16 @@ class Solver:
         var_rescale = False
         cla_rescale = False
         while True:
-            if confl in cla_act:
-                a = cla_act[confl] + cla_inc
-                cla_act[confl] = a
-                if a > _RESCALE_LIMIT:
-                    cla_rescale = True
-            for qi in range(confl + 1, confl + 1 + arena[confl]):
-                q = arena[qi]
+            if confl > 0:
+                if confl in cla_act:
+                    a = cla_act[confl] + cla_inc
+                    cla_act[confl] = a
+                    if a > _RESCALE_LIMIT:
+                        cla_rescale = True
+                lits = arena[confl + 1: confl + 1 + arena[confl]]
+            else:
+                lits = self._lin_clause(-confl - 1, pv)
+            for q in lits:
                 v = q if q > 0 else -q
                 if seen[v] or level[v] == 0:
                     continue
@@ -1070,8 +1343,11 @@ class Solver:
                 out.append(lit)
                 continue
             redundant = True
-            for qi in range(r + 1, r + 1 + arena[r]):
-                q = arena[qi]
+            if r > 0:
+                lits = arena[r + 1: r + 1 + arena[r]]
+            else:
+                lits = self._lin_clause(-r - 1, v)
+            for q in lits:
                 u = q if q > 0 else -q
                 if u != v and not seen[u] and level[u] != 0:
                     redundant = False
@@ -1145,7 +1421,7 @@ class Solver:
         live.extend(self._learnts)
         for lit in self._trail:
             r = reasons[lit if lit > 0 else -lit]
-            if r:
+            if r > 0:  # a negative reason is a linear constraint's
                 live.append(r)
         arena, remap = self._arena.compact(live)
         self._arena = arena
@@ -1158,7 +1434,7 @@ class Solver:
         for lit in self._trail:
             v = lit if lit > 0 else -lit
             r = reasons[v]
-            if r:
+            if r > 0:
                 reasons[v] = remap[r]
         self._rebuild_watches()
         self._arena_gc_limit = max(_ARENA_GC_FLOOR, 2 * len(arena.data))
@@ -1203,6 +1479,31 @@ class Solver:
             "live_binary_clauses": bin_live,
             "long_watcher_entries": long_entries,
             "binary_watcher_entries": bin_entries,
+        }
+
+    def arena_usage(self) -> dict[str, int]:
+        """Arena ints by holder, for invariant checks and tests.
+
+        ``dead`` is space no problem clause, retained learnt or reason
+        of a trail literal holds; the next compaction reclaims it.
+        """
+        arena = self._arena.data
+        reasons = self._reason
+        problem = sum(arena[c] + 1 for c in self._clauses)
+        learnt = sum(arena[c] + 1 for c in self._learnts)
+        held = set(self._clauses) | set(self._learnts)
+        reason = 0
+        for lit in self._trail:
+            r = reasons[lit if lit > 0 else -lit]
+            if r > 0 and r not in held:
+                held.add(r)
+                reason += arena[r] + 1
+        total = len(arena) - 1  # slot 0 is the sentinel
+        return {
+            "problem": problem,
+            "learnt": learnt,
+            "reasons": reason,
+            "dead": total - problem - learnt - reason,
         }
 
     # ------------------------------------------------------------------
@@ -1409,6 +1710,9 @@ class Solver:
         del self._trail[:]
         del self._trail_lim[:]
         self._qhead = 0
+        self._lin_slack = list(self._lin_bound)
+        self._lin_pos = [_UNCHARGED] * len(self._lin_pos)
+        self._lin_swept = 0
         self._model = None
         self._core = None
         self._arena = ClauseArena()
@@ -1535,8 +1839,11 @@ class Solver:
                 if level[v] > 0:
                     core.append(q)
             else:
-                for qi in range(r + 1, r + 1 + arena[r]):
-                    u = arena[qi]
+                if r > 0:
+                    lits = arena[r + 1: r + 1 + arena[r]]
+                else:
+                    lits = self._lin_clause(-r - 1, v)
+                for u in lits:
                     u = u if u > 0 else -u
                     if u != v and level[u] > 0:
                         seen.add(u)

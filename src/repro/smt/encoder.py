@@ -1,20 +1,25 @@
-"""Bit-blasting encoder: bounded integer constraints to CNF.
+"""Bit-blasting encoder: bounded integer constraints to SAT.
 
 Each :class:`~repro.smt.terms.IntVar` with domain ``[lo, hi]`` becomes an
 unsigned bit vector of ``ceil(log2(hi - lo + 1))`` fresh solver variables
-holding ``value - lo``, plus a range constraint. Linear constraints are
-compiled by moving negative-coefficient terms across the inequality so
-both sides are sums of non-negative terms, building ripple-carry adder
-circuits for each side, and asserting (or reifying) a lexicographic
-unsigned comparator between them.
+holding ``value - lo``, plus a range constraint.
 
-All comparisons are fully reified, so they can be nested inside Boolean
-structure (guarded resource constraints).
+An asserted ``<=`` (plain or behind a guard literal) becomes one native
+solver constraint ``sum(w * bit) <= bound`` over those bits
+(:meth:`~repro.sat.solver.Solver.add_linear`), which propagates by slack.
+A guard is one more literal, weighted so that a false guard leaves the
+sum unbounded. Comparisons that must sit inside Boolean structure
+(``==``, a reified ``<=`` literal such as a per-device fit, the range
+check) are still reified: negative-coefficient terms move across the
+inequality so both sides are sums of non-negative terms, ripple-carry
+adders build each side, and a lexicographic unsigned comparator
+compares them.
 """
 
 from __future__ import annotations
 
 from repro.errors import EncodingError
+from repro.logic.pseudo_boolean import PBTerm, normalize_pb
 from repro.smt.intervals import trivially
 from repro.smt.terms import IntVar, LinConstraint
 
@@ -25,8 +30,8 @@ class IntEncoder:
     Parameters
     ----------
     solver:
-        Anything with ``new_var()`` and ``add_clause()``
-        (:class:`repro.sat.Solver` or a clause collector).
+        Anything with ``new_var()``, ``add_clause()`` and
+        ``add_linear()`` (a :class:`repro.sat.Solver`).
     """
 
     def __init__(self, solver):
@@ -295,11 +300,53 @@ class IntEncoder:
 
     def assert_constraint(self, constraint: LinConstraint) -> None:
         """Assert that *constraint* holds."""
-        self.solver.add_clause([self.reify(constraint)])
+        if constraint.op == "<=":
+            self._assert_linear(None, constraint)
+        else:
+            self.solver.add_clause([self.reify(constraint)])
 
     def assert_implies(self, guard_lit: int, constraint: LinConstraint) -> None:
         """Assert ``guard -> constraint`` (conditional resource rule)."""
-        self.solver.add_clause([-guard_lit, self.reify(constraint)])
+        if constraint.op == "<=":
+            self._assert_linear(guard_lit, constraint)
+        else:
+            self.solver.add_clause([-guard_lit, self.reify(constraint)])
+
+    def _assert_linear(self, guard: int | None, constraint: LinConstraint) -> None:
+        """Assert ``guard -> expr <= 0`` as one native linear constraint.
+
+        ``sum(w * lit) <= bound`` over the bits becomes
+        ``sum(w * lit) + (total - bound) * guard <= total``: a true guard
+        leaves the bound, a false one allows every sum.
+        """
+        verdict = trivially(constraint)
+        if verdict is True:
+            return
+        terms, bound = self._linear_terms(constraint)
+        total = sum(t.weight for t in terms)
+        if bound >= total:
+            return
+        if bound < 0:
+            self.solver.add_clause([] if guard is None else [-guard])
+            return
+        pairs = [(t.weight, t.lit) for t in terms]
+        if guard is not None:
+            pairs.append((total - bound, guard))
+            bound = total
+        self.solver.add_linear(pairs, bound)
+
+    def _linear_terms(self, constraint: LinConstraint) -> tuple[list[PBTerm], int]:
+        """``expr <= 0`` as ``sum(w * lit) <= bound`` over the bits.
+
+        Weights come out positive and each variable appears once.
+        """
+        offset = constraint.expr.const
+        terms: list[PBTerm] = []
+        for var, coeff in constraint.expr.coeffs.items():
+            offset += coeff * var.lo
+            for j, bit in enumerate(self.bits_for(var)):
+                terms.append(PBTerm(coeff << j, bit))
+        return normalize_pb(terms, -offset)
 
     def referenced_vars(self) -> set[int]:
         """Variables that future encodings may mention again.

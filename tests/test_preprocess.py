@@ -459,8 +459,11 @@ class _Captured(Exception):
 
 
 def _session_base(monkeypatch, request):
-    """(num_vars, clauses, frozen) the session hands to preprocessing
-    when it compiles *request* on the default KB."""
+    """(num_vars, clauses, frozen, linear) the session hands to
+    preprocessing when it compiles *request* on the default KB.
+
+    *frozen* includes the variables of the *linear* constraints, which
+    ``preprocess_solver`` freezes itself."""
     import repro.core.session as session_mod
     from repro.core.session import ReasoningSession
     from repro.knowledge import default_knowledge_base
@@ -468,7 +471,8 @@ def _session_base(monkeypatch, request):
     def spy(solver, frozen=()):
         units = [[u] for u in solver.root_units()]
         raise _Captured(solver.num_vars, solver.clause_literals() + units,
-                        sorted(frozen))
+                        sorted(set(frozen) | solver.linear_vars()),
+                        solver.linear_constraints())
 
     monkeypatch.setattr(session_mod, "preprocess_solver", spy)
     with pytest.raises(_Captured) as captured:
@@ -476,13 +480,13 @@ def _session_base(monkeypatch, request):
     return captured.value.args
 
 
-#: sha256 of repr(_outcome(...)) of each base: a change to the compiled
-#: base or to any preprocessing pass moves it.
+#: sha256 of repr((_outcome(...), linear constraints)) of each base: a
+#: change to the compiled base or to any preprocessing pass moves it.
 _BASE_DIGESTS = {
     "more_workloads_request":
-        "6a39a071662e32f8f2f3e55100150175b840156343a150abd055ce629db4772a",
+        "2992cb48c38f0cdf92b2e18baec5bef6520737f7d744eaf59ee031d0bb967b8f",
     "inference_case_study":
-        "ac36f24c9cd239720d08e2fde996245240ba73ae23deacb9e91c826eb4219834",
+        "61a01ba2b9f4daa1bdf43dc5948298be80e7a5361ba2b86aa58af71cd53c7dfc",
 }
 
 
@@ -492,15 +496,16 @@ def test_case_study_bases_match_oracle_and_pinned_digest(monkeypatch, name):
 
     from repro.knowledge import casestudy
 
-    num_vars, clauses, frozen = _session_base(
+    num_vars, clauses, frozen, linear = _session_base(
         monkeypatch, getattr(casestudy, name)())
     result = preprocess_clauses(num_vars, clauses, frozen)
     oracle = _NaiveOracle(num_vars, [list(c) for c in clauses], frozen).run()
     assert _outcome(result) == oracle
     if name == "more_workloads_request":
         assert result.stats.as_dict() == {
-            "subsumed": 120, "strengthened": 43, "eliminated_vars": 459,
+            "subsumed": 96, "strengthened": 2, "eliminated_vars": 459,
             "resolvents_added": 595, "units_derived": 13, "rounds": 3,
         }
-    digest = hashlib.sha256(repr(_outcome(result)).encode()).hexdigest()
+    digest = hashlib.sha256(
+        repr((_outcome(result), linear)).encode()).hexdigest()
     assert digest == _BASE_DIGESTS[name]
